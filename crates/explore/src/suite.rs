@@ -315,7 +315,7 @@ pub fn run_suite_streaming<F>(
 where
     F: FnMut(usize, &PointOutcome) + Send,
 {
-    // ftes-lint: allow(determinism) reason="wall-clock feeds the wall_ms diagnostics column, excluded from byte comparisons"
+    // ftes-lint: allow(determinism) reason="wall-clock feeds the human summary only; suite CSV/JSON carry no wall clocks"
     let started = Instant::now();
     // Split the thread budget across concurrent points instead of letting
     // every point fan out at full width (point_parallelism × threads would
@@ -386,7 +386,7 @@ fn run_point(
     point: ScenarioPoint,
     threads: usize,
 ) -> Result<PointOutcome, ExploreError> {
-    // ftes-lint: allow(determinism) reason="wall-clock feeds the wall_ms diagnostics column, excluded from byte comparisons"
+    // ftes-lint: allow(determinism) reason="wall-clock feeds the human summary only; suite CSV/JSON carry no wall clocks"
     let started = Instant::now();
     let gen_config = GeneratorConfig::new(point.processes, point.nodes);
     let app = generate_application(&gen_config, point.seed)

@@ -8,7 +8,7 @@
 
 use ftes_explore::{
     evaluate_state, explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache,
-    PortfolioConfig, ScenarioPoint, StateKey, SuiteConfig, SuiteOutcome,
+    PortfolioConfig, ScenarioPoint, StateKey, SuiteConfig,
 };
 use ftes_gen::{generate_application, GeneratorConfig};
 use ftes_model::Time;
@@ -55,31 +55,13 @@ fn suite_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Zeroes the documented thread-dependent diagnostics — wall clocks and
-/// the evaluator-kernel work counters (constructions follow the thread
-/// split, and a prober that races a pending cache reservation recomputes
-/// the identical value itself rather than waiting, so raw kernel-work
-/// counts legitimately vary with interleaving) — so the CSV/JSON
-/// renderings below can be compared for *byte* identity, not just
-/// signature equality. The cache hit/miss counters are NOT stripped:
-/// the pending-reservation discipline pins those exactly.
-fn strip_diagnostics(outcome: &mut SuiteOutcome) {
-    outcome.wall = std::time::Duration::ZERO;
-    for p in &mut outcome.points {
-        p.wall = std::time::Duration::ZERO;
-        p.evals = Default::default();
-    }
-}
-
 #[test]
 fn certify_guided_suite_renders_identical_bytes_across_thread_counts() {
     let guided = |point_parallelism: usize, threads: usize| {
         let mut config = suite(point_parallelism, threads, 17);
         config.points.truncate(2); // k <= 2 keeps the exact runs cheap
         config.portfolio.certify_guided = true;
-        let mut outcome = run_suite(&config).unwrap();
-        strip_diagnostics(&mut outcome);
-        outcome
+        run_suite(&config).unwrap()
     };
     let baseline = guided(1, 1);
     assert!(
@@ -88,11 +70,12 @@ fn certify_guided_suite_renders_identical_bytes_across_thread_counts() {
     );
     for (point_parallelism, threads) in [(1, 4), (2, 8)] {
         let other = guided(point_parallelism, threads);
-        // Byte identity of both report formats — this subsumes archive
-        // signatures, estimate-cache counters *and* the certify-guided
-        // admit-cache counters (rendered columns/fields): the pending
-        // reservation pins one miss per unique key regardless of how the
-        // worker certify windows interleave.
+        // Byte identity of both report formats, compared raw — this
+        // subsumes archive signatures, estimate-cache counters *and* the
+        // certify-guided admit-cache counters (rendered columns/fields):
+        // the pending reservation pins one miss per unique key regardless
+        // of how the worker certify windows interleave. Wall clocks and
+        // evaluator-kernel counters never enter the reports.
         assert_eq!(
             suite_to_csv(&baseline),
             suite_to_csv(&other),
