@@ -5,6 +5,7 @@
 
 use crate::{FtError, RecoveryScheme};
 use ftes_model::{Application, ProcessId, Time};
+use std::sync::Arc;
 
 /// The policy kind `P(Pi)` of §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,9 +82,29 @@ impl CopyPlan {
 /// assert!(fig4c.tolerates(2));
 /// assert!(!fig4c.tolerates(3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The copy plans are immutable and shared: cloning a policy bumps a
+/// reference count instead of copying the plan list, so search states that
+/// differ in one process share every other process's policy. `Eq`, `Hash`
+/// and `Debug` see only the plans, exactly as for an owned list.
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Policy {
-    copies: Vec<CopyPlan>,
+    copies: Arc<[CopyPlan]>,
+}
+
+impl Clone for Policy {
+    fn clone(&self) -> Self {
+        Policy { copies: Arc::clone(&self.copies) }
+    }
+
+    /// Skips the reference-count traffic when both sides already share one
+    /// plan list (the common case when a search state is reset from its
+    /// predecessor).
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.copies, &source.copies) {
+            self.copies = Arc::clone(&source.copies);
+        }
+    }
 }
 
 impl Policy {
@@ -91,18 +112,18 @@ impl Policy {
     /// `checkpoints` checkpoints (Fig. 4a). `checkpoints = 0` degenerates to
     /// plain re-execution.
     pub fn checkpointing(recoveries: u32, checkpoints: u32) -> Self {
-        Policy { copies: vec![CopyPlan::checkpointed(recoveries, checkpoints)] }
+        Policy { copies: Arc::new([CopyPlan::checkpointed(recoveries, checkpoints)]) }
     }
 
     /// Pure re-execution: one copy, `recoveries` recoveries, no checkpoints.
     pub fn reexecution(recoveries: u32) -> Self {
-        Policy { copies: vec![CopyPlan::reexecuted(recoveries)] }
+        Policy { copies: Arc::new([CopyPlan::reexecuted(recoveries)]) }
     }
 
     /// Pure active replication tolerating `k` faults: `k + 1` plain copies
     /// (Fig. 4b).
     pub fn replication(k: u32) -> Self {
-        Policy { copies: vec![CopyPlan::plain(); (k + 1) as usize] }
+        Policy { copies: std::iter::repeat_n(CopyPlan::plain(), (k + 1) as usize).collect() }
     }
 
     /// Arbitrary combination (Fig. 4c): explicit per-copy plans.
@@ -114,7 +135,7 @@ impl Policy {
         if copies.is_empty() {
             return Err(FtError::NoCopies);
         }
-        Ok(Policy { copies })
+        Ok(Policy { copies: copies.into() })
     }
 
     /// The policy kind `P(Pi)`.
@@ -173,9 +194,20 @@ impl Policy {
 
 /// The per-process policy assignment `F = <P, Q, R, X>` for a whole
 /// application (§6).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct PolicyAssignment {
     policies: Vec<Policy>,
+}
+
+impl Clone for PolicyAssignment {
+    fn clone(&self) -> Self {
+        PolicyAssignment { policies: self.policies.clone() }
+    }
+
+    /// Reuses the existing allocation and shares every unchanged policy.
+    fn clone_from(&mut self, source: &Self) {
+        self.policies.clone_from(&source.policies);
+    }
 }
 
 impl PolicyAssignment {
