@@ -5,6 +5,7 @@
 use crate::CpgError;
 use ftes_ft::PolicyAssignment;
 use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
+use std::fmt;
 
 /// Node assignment for every copy of every process.
 ///
@@ -19,10 +20,22 @@ use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
 /// not nodes, and the paper's fault model allows `k` to exceed the node
 /// count (§2, footnote 1) — pure replication then necessarily co-locates
 /// copies.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The rows are stored flat — every copy's node in process order plus a
+/// row-offset table — so a mapping is two allocations whatever the process
+/// count, and [`CopyMapping::rederive`] refills one in place.
+#[derive(PartialEq, Eq)]
 pub struct CopyMapping {
-    rows: Vec<Vec<NodeId>>,
+    /// Copy nodes, row after row.
+    nodes: Vec<NodeId>,
+    /// Row `p` is `nodes[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<u32>,
 }
+
+/// Node counts up to this size keep [`CopyMapping::rederive`]'s load
+/// scratch on the stack; larger architectures take one heap scratch per
+/// derivation.
+const STACK_NODES: usize = 16;
 
 impl CopyMapping {
     /// Validates and wraps an explicit per-copy assignment.
@@ -44,6 +57,7 @@ impl CopyMapping {
                 expected: app.process_count(),
             });
         }
+        let mut mapping = CopyMapping::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
         for (i, row) in rows.iter().enumerate() {
             let pid = ProcessId::new(i);
             let copies = policies.policy(pid).copies().len();
@@ -60,14 +74,19 @@ impl CopyMapping {
                     return Err(CpgError::InfeasibleCopyMapping(pid, node));
                 }
             }
+            mapping.nodes.extend_from_slice(row);
+            mapping.close_row();
         }
-        Ok(CopyMapping { rows })
+        Ok(mapping)
     }
 
     /// Derives a copy mapping from a base process mapping: copy 0 follows
     /// the base mapping; replicas are placed greedily on the feasible node
     /// with the smallest accumulated load, preferring nodes not yet used by
     /// this process (distinct placement when possible).
+    ///
+    /// Allocates only the returned mapping (for architectures of up to 16
+    /// nodes).
     ///
     /// # Errors
     ///
@@ -79,30 +98,72 @@ impl CopyMapping {
         base: &Mapping,
         policies: &PolicyAssignment,
     ) -> Result<Self, CpgError> {
-        let mut load = vec![Time::ZERO; arch.node_count()];
+        let copies = app.processes().map(|(pid, _)| policies.policy(pid).copies().len()).sum();
+        let mut mapping = CopyMapping::with_capacity(app.process_count(), copies);
+        mapping.rederive(app, arch, base, policies)?;
+        Ok(mapping)
+    }
+
+    /// [`CopyMapping::from_base`] into an existing mapping, reusing its
+    /// buffers: once they have grown to the largest placement seen, a
+    /// rederivation allocates nothing (for architectures of up to 16
+    /// nodes). On error the mapping's contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`CopyMapping::from_base`].
+    pub fn rederive(
+        &mut self,
+        app: &Application,
+        arch: &Architecture,
+        base: &Mapping,
+        policies: &PolicyAssignment,
+    ) -> Result<(), CpgError> {
+        let node_count = arch.node_count();
+        let mut stack = [Time::ZERO; STACK_NODES];
+        let mut heap = Vec::new();
+        let load: &mut [Time] = if node_count <= STACK_NODES {
+            &mut stack[..node_count]
+        } else {
+            heap.resize(node_count, Time::ZERO);
+            &mut heap
+        };
         for (pid, node) in base.iter() {
             load[node.index()] += base.wcet_of(app, pid);
         }
-        let mut rows = Vec::with_capacity(app.process_count());
+        self.nodes.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
         for (pid, proc) in app.processes() {
             let copies = policies.policy(pid).copies().len();
-            let feasible: Vec<NodeId> = proc.candidate_nodes().collect();
-            let mut row = vec![base.node_of(pid)];
-            while row.len() < copies {
-                let next = feasible
-                    .iter()
-                    .copied()
+            let start = self.nodes.len();
+            self.nodes.push(base.node_of(pid));
+            while self.nodes.len() - start < copies {
+                let row = &self.nodes[start..];
+                let next = proc
+                    .candidate_nodes()
                     .min_by_key(|n| {
                         let reuse = row.iter().filter(|&&r| r == *n).count();
                         (reuse, load[n.index()], n.index())
                     })
                     .expect("validated processes have a feasible node");
                 load[next.index()] += proc.wcet_on(next).expect("feasible node");
-                row.push(next);
+                self.nodes.push(next);
             }
-            rows.push(row);
+            self.close_row();
         }
-        Ok(CopyMapping { rows })
+        Ok(())
+    }
+
+    fn with_capacity(processes: usize, copies: usize) -> Self {
+        let mut offsets = Vec::with_capacity(processes + 1);
+        offsets.push(0);
+        CopyMapping { nodes: Vec::with_capacity(copies), offsets }
+    }
+
+    /// Ends the row under construction at the current end of `nodes`.
+    fn close_row(&mut self) {
+        self.offsets.push(self.nodes.len() as u32);
     }
 
     /// Node of copy `copy` of process `p`.
@@ -111,7 +172,7 @@ impl CopyMapping {
     ///
     /// Panics if `p` or `copy` is out of range.
     pub fn node_of(&self, p: ProcessId, copy: usize) -> NodeId {
-        self.rows[p.index()][copy]
+        self.copies_of(p)[copy]
     }
 
     /// All copy nodes of process `p` (index 0 = original).
@@ -120,7 +181,13 @@ impl CopyMapping {
     ///
     /// Panics if `p` is out of range.
     pub fn copies_of(&self, p: ProcessId) -> &[NodeId] {
-        &self.rows[p.index()]
+        let i = p.index();
+        &self.nodes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The rows in process order.
+    fn rows(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
+        self.offsets.windows(2).map(|w| &self.nodes[w[0] as usize..w[1] as usize])
     }
 
     /// The base mapping restricted to copy 0 of every process.
@@ -134,7 +201,33 @@ impl CopyMapping {
         app: &Application,
         arch: &Architecture,
     ) -> Result<Mapping, ftes_model::ModelError> {
-        Mapping::new(app, arch, self.rows.iter().map(|r| r[0]).collect())
+        Mapping::new(app, arch, self.rows().map(|r| r[0]).collect())
+    }
+}
+
+impl Clone for CopyMapping {
+    fn clone(&self) -> Self {
+        CopyMapping { nodes: self.nodes.clone(), offsets: self.offsets.clone() }
+    }
+
+    /// Reuses the existing buffers.
+    fn clone_from(&mut self, source: &Self) {
+        self.nodes.clone_from(&source.nodes);
+        self.offsets.clone_from(&source.offsets);
+    }
+}
+
+/// Prints the nested rows (`CopyMapping { rows: [[NodeId(0)], …] }`), the
+/// same text the row-per-process layout printed.
+impl fmt::Debug for CopyMapping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Rows<'a>(&'a CopyMapping);
+        impl fmt::Debug for Rows<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.rows()).finish()
+            }
+        }
+        f.debug_struct("CopyMapping").field("rows", &Rows(self)).finish()
     }
 }
 
