@@ -27,9 +27,20 @@ use crate::{Application, Architecture, ModelError, NodeId, ProcessId, Time};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Mapping {
     assign: Vec<NodeId>,
+}
+
+impl Clone for Mapping {
+    fn clone(&self) -> Self {
+        Mapping { assign: self.assign.clone() }
+    }
+
+    /// Reuses the existing allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.assign.clone_from(&source.assign);
+    }
 }
 
 impl Mapping {
@@ -112,9 +123,14 @@ impl Mapping {
 
     /// Replaces the node of one process, returning a new mapping.
     ///
+    /// Validates only the moved process: `self` already satisfies the
+    /// invariants for `app` and `arch`, so the result is the same `Result`
+    /// [`Mapping::new`] returns for the edited assignment vector.
+    ///
     /// # Errors
     ///
-    /// Same as [`Mapping::new`] for the modified assignment.
+    /// [`ModelError::UnknownProcess`] if `p` is out of range; otherwise
+    /// same as [`Mapping::new`] for the modified assignment.
     pub fn with_move(
         &self,
         app: &Application,
@@ -122,12 +138,46 @@ impl Mapping {
         p: ProcessId,
         node: NodeId,
     ) -> Result<Self, ModelError> {
-        let mut assign = self.assign.clone();
-        if p.index() >= assign.len() {
+        let mut moved = self.clone();
+        moved.move_process(app, arch, p, node)?;
+        Ok(moved)
+    }
+
+    /// [`Mapping::with_move`] in place: on success `self` maps `p` to
+    /// `node`; on error `self` is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Mapping::with_move`].
+    pub fn move_process(
+        &mut self,
+        app: &Application,
+        arch: &Architecture,
+        p: ProcessId,
+        node: NodeId,
+    ) -> Result<(), ModelError> {
+        if p.index() >= self.assign.len() {
             return Err(ModelError::UnknownProcess(p));
         }
-        assign[p.index()] = node;
-        Mapping::new(app, arch, assign)
+        if self.assign.len() != app.process_count() {
+            // Not a mapping of `app`: the full check reports the arity.
+            let mut assign = self.assign.clone();
+            assign[p.index()] = node;
+            *self = Mapping::new(app, arch, assign)?;
+            return Ok(());
+        }
+        if node.index() >= arch.node_count() {
+            return Err(ModelError::UnknownNode(node));
+        }
+        let proc = app.process(p);
+        if proc.wcet_on(node).is_none() {
+            return Err(ModelError::InfeasibleMapping(p, node));
+        }
+        if proc.fixed_node().is_some_and(|fixed| fixed != node) {
+            return Err(ModelError::InfeasibleFixedMapping(p, node));
+        }
+        self.assign[p.index()] = node;
+        Ok(())
     }
 
     /// Iterator over `(ProcessId, NodeId)` pairs.
