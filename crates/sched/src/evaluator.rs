@@ -114,6 +114,28 @@ impl EvaluatorStats {
     }
 }
 
+/// One candidate state of a batch: the copy placement and policies
+/// [`SystemEvaluator::evaluate_batch_into`] reads from each element.
+/// Implemented for `(&CopyMapping, &PolicyAssignment)` pairs; a search that
+/// keeps its neighborhood in a reusable pool implements it for the pool's
+/// element type and scores the pool slice directly.
+pub trait BatchCandidate {
+    /// The candidate's copy placement.
+    fn copies(&self) -> &CopyMapping;
+    /// The candidate's policy assignment.
+    fn policies(&self) -> &PolicyAssignment;
+}
+
+impl BatchCandidate for (&CopyMapping, &PolicyAssignment) {
+    fn copies(&self) -> &CopyMapping {
+        self.0
+    }
+
+    fn policies(&self) -> &PolicyAssignment {
+        self.1
+    }
+}
+
 /// Per-`(process, node)` recovery scheme, precomputed at construction.
 ///
 /// `None` = the process has no WCET on that node (a validated copy mapping
@@ -218,6 +240,9 @@ pub struct SystemEvaluator {
     batch_order: Vec<(u32, u32)>,
     /// Per-candidate changed flags, `candidate * n + process` indexed.
     batch_changed: Vec<bool>,
+    /// Results of the current batch, filled in scoring order and handed
+    /// out in input order.
+    batch_out: Vec<Option<Result<Estimate, SchedError>>>,
     // ---- delta anchor + counters ----
     base: Option<BaseState>,
     stats: EvaluatorStats,
@@ -265,6 +290,7 @@ impl SystemEvaluator {
             prefix_cursor: vec![0; node_count],
             batch_order: Vec::new(),
             batch_changed: Vec::new(),
+            batch_out: Vec::new(),
             base: None,
             stats: EvaluatorStats { constructions: 1, ..EvaluatorStats::default() },
         }
@@ -435,6 +461,20 @@ impl SystemEvaluator {
         &mut self,
         candidates: &[(&CopyMapping, &PolicyAssignment)],
     ) -> Vec<Result<Estimate, SchedError>> {
+        let mut out = Vec::with_capacity(candidates.len());
+        self.evaluate_batch_into(candidates, &mut out);
+        out
+    }
+
+    /// [`evaluate_batch`](SystemEvaluator::evaluate_batch) into a
+    /// caller-owned buffer (cleared first): with a reused buffer and a
+    /// candidate slice the caller keeps between calls, scoring a
+    /// neighborhood allocates nothing once the scratch has grown.
+    pub fn evaluate_batch_into<C: BatchCandidate>(
+        &mut self,
+        candidates: &[C],
+        out: &mut Vec<Result<Estimate, SchedError>>,
+    ) {
         let m = candidates.len();
         let n = self.app.process_count();
         self.stats.batch_evals += 1;
@@ -447,14 +487,14 @@ impl SystemEvaluator {
         // (consumed by the slack memoization when the candidate is scored).
         self.batch_order.clear();
         self.batch_changed.resize(m * n, false);
-        for (idx, (copies, policies)) in candidates.iter().enumerate() {
+        for (idx, candidate) in candidates.iter().enumerate() {
             let dirty = match self.base.as_ref() {
                 Some(base) => diff_against_base(
                     base,
                     &self.app,
                     &self.pos_of,
-                    copies,
-                    policies,
+                    candidate.copies(),
+                    candidate.policies(),
                     &mut self.batch_changed[idx * n..(idx + 1) * n],
                 ),
                 None => 0,
@@ -471,15 +511,26 @@ impl SystemEvaluator {
         self.prefix_cursor.iter_mut().for_each(|c| *c = 0);
 
         let has_base = self.base.is_some();
-        let mut out: Vec<Option<Result<Estimate, SchedError>>> = (0..m).map(|_| None).collect();
+        self.batch_out.clear();
+        self.batch_out.resize_with(m, || None);
         let batch_order = std::mem::take(&mut self.batch_order);
         for &(dirty, idx) in &batch_order {
             let idx = idx as usize;
-            let (copies, policies) = candidates[idx];
-            out[idx] = Some(self.score_candidate(copies, policies, dirty as usize, has_base, idx));
+            let candidate = &candidates[idx];
+            let result = self.score_candidate(
+                candidate.copies(),
+                candidate.policies(),
+                dirty as usize,
+                has_base,
+                idx,
+            );
+            self.batch_out[idx] = Some(result);
         }
         self.batch_order = batch_order;
-        out.into_iter().map(|r| r.expect("every candidate is scored exactly once")).collect()
+        out.clear();
+        out.extend(
+            self.batch_out.drain(..).map(|r| r.expect("every candidate is scored exactly once")),
+        );
     }
 
     /// Scores one batch candidate, mirroring the sequential tiers' counter

@@ -73,7 +73,7 @@ pub use conditional::{
 };
 pub use error::SchedError;
 pub use estimate::{estimate_schedule_length, Estimate};
-pub use evaluator::{EvaluatorStats, SystemEvaluator};
+pub use evaluator::{BatchCandidate, EvaluatorStats, SystemEvaluator};
 pub use join::{subtree_key, worst_case_delivery, JoinMemo, ReplicaLadder};
 pub use resource::{BusTable, Reservation, ResourceTable};
 pub use table::{NodeTable, ScheduleTables, TableEntry, TableRow};
