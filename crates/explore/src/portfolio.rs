@@ -33,7 +33,7 @@ use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::CopyMapping;
 use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, sample_move, OptError, PolicyMoves, SearchConfig, Synthesized,
+    apply_move, constructive_mapping, MoveVocabulary, OptError, PolicyMoves, Synthesized,
 };
 use ftes_sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, EvaluatorStats};
 use ftes_tdma::Platform;
@@ -354,6 +354,9 @@ pub fn explore(
         })
         .collect();
 
+    // Every worker draws from one move vocabulary, precomputed once.
+    let vocabulary = MoveVocabulary::new(app, k, PolicyMoves::Full, config.max_checkpoints);
+
     let mut archive = ParetoArchive::new();
     archive.insert(ArchiveEntry::new(
         initial.mapping.clone(),
@@ -396,7 +399,8 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                run_round(app, platform, k, config, &cache, &pool, thread, &mut worker, guard)
+                let context = RoundContext { app, platform, config, vocabulary: &vocabulary };
+                run_round(&context, &cache, &pool, thread, &mut worker, guard)
             });
         for local in round_archives {
             archive.merge(local);
@@ -437,42 +441,36 @@ pub fn explore(
     })
 }
 
+/// The read-only inputs every worker round shares.
+struct RoundContext<'a> {
+    app: &'a Application,
+    platform: &'a Platform,
+    config: &'a PortfolioConfig,
+    vocabulary: &'a MoveVocabulary,
+}
+
 /// Advances one worker by `iterations_per_round` batched iterations.
 /// `thread` is the worker's scoped-thread slot, passed through as the
 /// preferred evaluator-pool slot so concurrent workers keep their own warm
 /// kernel.
-#[allow(clippy::too_many_arguments)]
 fn run_round(
-    app: &Application,
-    platform: &Platform,
-    k: u32,
-    config: &PortfolioConfig,
+    context: &RoundContext<'_>,
     cache: &EstimateCache,
     pool: &EvaluatorPool,
     thread: usize,
     worker: &mut Worker,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
-    let search = SearchConfig {
-        neighborhood: worker.spec.neighborhood,
-        tenure: worker.spec.tenure,
-        max_checkpoints: config.max_checkpoints,
-        ..SearchConfig::default()
-    };
-    let arch = platform.architecture();
+    let (app, arch) = (context.app, context.platform.architecture());
     let mut local_archive = ParetoArchive::new();
 
-    for _ in 0..config.iterations_per_round {
+    for _ in 0..context.config.iterations_per_round {
         // 1. Sample the whole neighborhood without evaluating.
         let mut moves = Vec::with_capacity(worker.spec.neighborhood);
         for _ in 0..worker.spec.neighborhood {
-            if let Some(mv) = sample_move(
-                app,
+            if let Some(mv) = context.vocabulary.sample(
                 &worker.current.mapping,
                 &worker.current.policies,
-                k,
-                PolicyMoves::Full,
-                search,
                 &mut worker.rng,
             ) {
                 moves.push(mv);

@@ -4,9 +4,9 @@
 //! MXR \[13\]; the ablation quantifies how much the choice of metaheuristic
 //! matters on our workloads.
 
-use crate::search::{sample_neighborhood, score_neighborhood};
+use crate::search::ProposalPool;
 use crate::{OptError, PolicyMoves, SearchConfig, Synthesized};
-use ftes_model::Application;
+use ftes_model::{Application, Time};
 use ftes_sched::SystemEvaluator;
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
@@ -34,24 +34,25 @@ pub fn greedy_descent(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = SystemEvaluator::new(app, platform, k);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
+    let mut pool = ProposalPool::new(&evaluator, policy_moves, config);
     let mut current = initial;
     let mut trace = SearchTrace::with_capacity(config.iterations);
     for _ in 0..config.iterations {
         // Sample the whole neighborhood, then score it in one batch pass.
-        let proposals = sample_neighborhood(&evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(&mut evaluator, proposals);
-        let mut best_move: Option<Synthesized> = None;
-        for (cand, _) in candidates {
-            if cand.objective() < best_move.as_ref().map_or(current.objective(), |b| b.objective())
-            {
-                best_move = Some(cand);
+        pool.sample_neighborhood(&mut evaluator, &current, &mut rng);
+        let mut best_move: Option<(usize, (Time, Time))> = None;
+        for i in 0..pool.len() {
+            let Some(proposal) = pool.scored(i) else { continue };
+            let objective = proposal.state.objective();
+            if objective < best_move.map_or(current.objective(), |(_, best)| best) {
+                best_move = Some((i, objective));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
         match best_move {
-            Some(next) => {
+            Some((i, _)) => {
                 ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-                current = next;
+                pool.swap_into(i, &mut current);
                 // Re-anchor the delta base at the accepted state.
                 evaluator.evaluate(&current.copies, &current.policies)?;
             }
@@ -91,6 +92,7 @@ pub fn simulated_annealing(
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut evaluator = SystemEvaluator::new(app, platform, k);
     evaluator.evaluate(&initial.copies, &initial.policies)?;
+    let mut pool = ProposalPool::new(&evaluator, policy_moves, config);
     let mut current = initial.clone();
     let mut best = initial;
     let mut trace = SearchTrace::with_capacity(config.iterations);
@@ -100,12 +102,13 @@ pub fn simulated_annealing(
     for _ in 0..config.iterations {
         // Sample and batch-score the neighborhood of the iteration-start
         // state, then apply the acceptance walk over the scored candidates.
-        let proposals = sample_neighborhood(&evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(&mut evaluator, proposals);
+        pool.sample_neighborhood(&mut evaluator, &current, &mut rng);
         let mut accepted = false;
-        for (cand, _) in candidates {
-            let delta =
-                (cand.estimate.worst_case_length - current.estimate.worst_case_length).as_f64();
+        for i in 0..pool.len() {
+            let Some(proposal) = pool.scored(i) else { continue };
+            let delta = (proposal.state.estimate.worst_case_length
+                - current.estimate.worst_case_length)
+                .as_f64();
             let accept = delta <= 0.0 || rng.gen_bool((-delta / temperature).exp().min(1.0));
             ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
             ftes_obs::counter(
@@ -117,10 +120,10 @@ pub fn simulated_annealing(
                 1,
             );
             if accept {
-                current = cand;
+                pool.swap_into(i, &mut current);
                 accepted = true;
                 if current.objective() < best.objective() {
-                    best = current.clone();
+                    best.clone_from(&current);
                 }
             }
         }

@@ -56,6 +56,6 @@ pub use repair::{
 pub use search::{
     apply_move, candidate_policies, sample_move, tabu_search, tabu_search_guarded_with,
     tabu_search_traced, tabu_search_traced_with, tabu_search_with, BestGuard, CandidateMove,
-    PolicyMoves, SearchConfig, Synthesized,
+    MoveVocabulary, PolicyMoves, SearchConfig, Synthesized,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

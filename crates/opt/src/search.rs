@@ -11,12 +11,21 @@
 //!
 //! Recently touched processes are tabu for `tenure` iterations unless a move
 //! beats the global best (aspiration).
+//!
+//! One search step allocates nothing in steady state. The move vocabulary
+//! (candidate nodes and policies per process) is computed once per search
+//! ([`MoveVocabulary`]); neighbors are built in a reusable proposal pool by
+//! resetting a slot to the current state (`clone_from`, which shares every
+//! policy), applying the move in place and re-deriving the slot's copy
+//! placement in place ([`CopyMapping::rederive`]); the pool is scored as
+//! one slice by [`SystemEvaluator::evaluate_batch_into`]; and the winner is
+//! swapped into the current state, so only a displaced best is copied.
 
 use crate::OptError;
 use ftes_ft::{CopyPlan, Policy, PolicyAssignment};
 use ftes_ftcpg::CopyMapping;
 use ftes_model::{Application, Architecture, Mapping, NodeId, ProcessId, Time};
-use ftes_sched::{Estimate, SystemEvaluator};
+use ftes_sched::{BatchCandidate, Estimate, SchedError, SystemEvaluator};
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -84,7 +93,7 @@ impl SearchConfig {
 
 /// A synthesized configuration: mapping, policies, derived copy placement
 /// and its estimated worst-case schedule length.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Synthesized {
     /// Base process mapping `M`.
     pub mapping: Mapping,
@@ -94,6 +103,25 @@ pub struct Synthesized {
     pub copies: CopyMapping,
     /// Estimated fault-free and worst-case schedule lengths.
     pub estimate: Estimate,
+}
+
+impl Clone for Synthesized {
+    fn clone(&self) -> Self {
+        Synthesized {
+            mapping: self.mapping.clone(),
+            policies: self.policies.clone(),
+            copies: self.copies.clone(),
+            estimate: self.estimate,
+        }
+    }
+
+    /// Field-wise, reusing every buffer of `self`.
+    fn clone_from(&mut self, source: &Self) {
+        self.mapping.clone_from(&source.mapping);
+        self.policies.clone_from(&source.policies);
+        self.copies.clone_from(&source.copies);
+        self.estimate = source.estimate;
+    }
 }
 
 impl Synthesized {
@@ -245,6 +273,108 @@ impl CandidateMove {
             }
         }
     }
+
+    /// Applies the move to a `(mapping, policies)` state in place. Returns
+    /// `false`, leaving the state unchanged, when the move is infeasible
+    /// (e.g. the remap violates a mapping restriction).
+    pub fn apply_to(
+        &self,
+        app: &Application,
+        arch: &Architecture,
+        mapping: &mut Mapping,
+        policies: &mut PolicyAssignment,
+    ) -> bool {
+        match self {
+            CandidateMove::Remap { process, to } => {
+                mapping.move_process(app, arch, *process, *to).is_ok()
+            }
+            CandidateMove::Repolicy { process, policy } => {
+                policies.set(*process, policy.clone());
+                true
+            }
+        }
+    }
+}
+
+/// The move vocabulary of one search, computed once: every process's
+/// remap targets and candidate policies.
+///
+/// [`MoveVocabulary::sample`] draws exactly the move [`sample_move`] draws
+/// from the same RNG state — the same RNG calls in the same order — but
+/// reads the precomputed lists instead of rebuilding them, so a draw
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct MoveVocabulary {
+    policy_moves: PolicyMoves,
+    /// Remap targets, row after row: a process's candidate nodes, or no
+    /// row entries for a designer-fixed process.
+    nodes: Vec<NodeId>,
+    /// Row `p` of `nodes` is `nodes[node_off[p]..node_off[p + 1]]`.
+    node_off: Vec<usize>,
+    /// [`candidate_policies`] of every process, row after row (empty under
+    /// [`PolicyMoves::None`]).
+    policies: Vec<Policy>,
+    /// Row offsets into `policies`.
+    policy_off: Vec<usize>,
+}
+
+impl MoveVocabulary {
+    /// Precomputes the vocabulary of searches over `app` under fault
+    /// budget `k`.
+    pub fn new(app: &Application, k: u32, policy_moves: PolicyMoves, max_checkpoints: u32) -> Self {
+        let mut vocabulary = MoveVocabulary {
+            policy_moves,
+            nodes: Vec::new(),
+            node_off: vec![0],
+            policies: Vec::new(),
+            policy_off: vec![0],
+        };
+        for (pid, proc) in app.processes() {
+            if proc.fixed_node().is_none() {
+                vocabulary.nodes.extend(proc.candidate_nodes());
+            }
+            vocabulary.node_off.push(vocabulary.nodes.len());
+            if policy_moves == PolicyMoves::Full {
+                vocabulary.policies.extend(candidate_policies(app, pid, k, max_checkpoints));
+            }
+            vocabulary.policy_off.push(vocabulary.policies.len());
+        }
+        vocabulary
+    }
+
+    /// Samples one candidate move from the neighborhood of the given
+    /// state, exactly like [`sample_move`] with this vocabulary's
+    /// application, `k`, policy moves and checkpoint cap.
+    pub fn sample(
+        &self,
+        mapping: &Mapping,
+        policies: &PolicyAssignment,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<CandidateMove> {
+        let p = rng.gen_range(0..self.node_off.len() - 1);
+        let process = ProcessId::new(p);
+        let try_policy = self.policy_moves == PolicyMoves::Full && rng.gen_bool(0.5);
+        if try_policy {
+            let cands = &self.policies[self.policy_off[p]..self.policy_off[p + 1]];
+            let policy = &cands[rng.gen_range(0..cands.len())];
+            if policies.policy(process) == policy {
+                return None;
+            }
+            Some(CandidateMove::Repolicy { process, policy: policy.clone() })
+        } else {
+            // Fixed processes have an empty row, single-node processes a
+            // one-entry row: neither draws a target.
+            let nodes = &self.nodes[self.node_off[p]..self.node_off[p + 1]];
+            if nodes.len() < 2 {
+                return None;
+            }
+            let to = nodes[rng.gen_range(0..nodes.len())];
+            if to == mapping.node_of(process) {
+                return None;
+            }
+            Some(CandidateMove::Remap { process, to })
+        }
+    }
 }
 
 /// Samples one candidate move (remap or repolicy) from the neighborhood of
@@ -300,98 +430,135 @@ pub fn apply_move(
     policies: &PolicyAssignment,
     mv: &CandidateMove,
 ) -> Option<(Mapping, PolicyAssignment)> {
-    match mv {
-        CandidateMove::Remap { process, to } => {
-            let mapping = mapping.with_move(app, arch, *process, *to).ok()?;
-            Some((mapping, policies.clone()))
-        }
-        CandidateMove::Repolicy { process, policy } => {
-            let mut policies = policies.clone();
-            policies.set(*process, policy.clone());
-            Some((mapping.clone(), policies))
-        }
-    }
+    let (mut mapping, mut policies) = (mapping.clone(), policies.clone());
+    mv.apply_to(app, arch, &mut mapping, &mut policies).then_some((mapping, policies))
 }
 
-/// One sampled-and-applied (but not yet scored) neighbor of a search's
-/// current state, ready for the evaluator's batch path.
+/// One sampled-and-applied neighbor of a search's current state, held in a
+/// [`ProposalPool`] slot.
 pub(crate) struct Proposal {
     /// The process the originating move touches (tabu bookkeeping unit).
     pub(crate) process: ProcessId,
-    pub(crate) mapping: Mapping,
-    pub(crate) policies: PolicyAssignment,
-    pub(crate) copies: CopyMapping,
+    /// The neighbor; its estimate is valid once the pool has scored it.
+    pub(crate) state: Synthesized,
 }
 
-/// Samples a whole neighborhood of `current` — up to `config.neighborhood`
-/// candidate moves — applying each move and deriving its copy placement,
-/// but **without scoring**. Degenerate samples (no-op moves, fixed or
-/// single-node processes) and infeasible applications are skipped, exactly
-/// like the sequential proposal loop did; the RNG stream is consumed
-/// identically (scoring never drew from it).
-///
-/// Shared between the tabu search and the alternative engines in
-/// [`crate::greedy_descent`] / [`crate::simulated_annealing`].
-pub(crate) fn sample_neighborhood(
-    evaluator: &SystemEvaluator,
-    current: &Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-    rng: &mut ChaCha8Rng,
-) -> Vec<Proposal> {
-    let k = evaluator.k();
-    let app = evaluator.app();
-    let arch = evaluator.platform().architecture();
-    let mut proposals = Vec::with_capacity(config.neighborhood);
-    for _ in 0..config.neighborhood {
-        let Some(mv) =
-            sample_move(app, &current.mapping, &current.policies, k, policy_moves, config, rng)
-        else {
-            continue;
-        };
-        let process = mv.process();
-        let Some((mapping, policies)) =
-            apply_move(app, arch, &current.mapping, &current.policies, &mv)
-        else {
-            continue;
-        };
-        // Infeasible copy placements are skipped rather than surfaced: the
-        // move is simply not available (same as the sequential path).
-        let Ok(copies) = CopyMapping::from_base(app, arch, &mapping, &policies) else { continue };
-        proposals.push(Proposal { process, mapping, policies, copies });
+impl BatchCandidate for Proposal {
+    fn copies(&self) -> &CopyMapping {
+        &self.state.copies
     }
-    proposals
+
+    fn policies(&self) -> &PolicyAssignment {
+        &self.state.policies
+    }
 }
 
-/// Scores a sampled neighborhood through one [`evaluate_batch`] pass
-/// (the kernel's base is the search's current state, so most candidates
-/// re-schedule only a shared-prefix suffix). Candidates whose evaluation
-/// fails (e.g. a policy the bus cannot carry) are dropped, mirroring the
-/// sequential path's skip; survivors come back in proposal order.
-///
-/// [`evaluate_batch`]: SystemEvaluator::evaluate_batch
-pub(crate) fn score_neighborhood(
-    evaluator: &mut SystemEvaluator,
-    proposals: Vec<Proposal>,
-) -> Vec<(Synthesized, ProcessId)> {
-    let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-        proposals.iter().map(|pr| (&pr.copies, &pr.policies)).collect();
-    let results = evaluator.evaluate_batch(&refs);
-    drop(refs);
-    proposals
-        .into_iter()
-        .zip(results)
-        .filter_map(|(pr, res)| {
-            let estimate = res.ok()?;
-            let synthesized = Synthesized {
-                mapping: pr.mapping,
-                policies: pr.policies,
-                copies: pr.copies,
-                estimate,
+/// The neighborhood of a search, in slots reused across iterations — the
+/// sampling and scoring shared by the tabu search and the alternative
+/// engines in [`crate::greedy_descent`] / [`crate::simulated_annealing`].
+pub(crate) struct ProposalPool {
+    vocabulary: MoveVocabulary,
+    neighborhood: usize,
+    /// Slot storage; the first `len` slots hold the current neighborhood.
+    slots: Vec<Proposal>,
+    len: usize,
+    /// Scores of the first `len` slots, in slot order.
+    scores: Vec<Result<Estimate, SchedError>>,
+}
+
+impl ProposalPool {
+    /// An empty pool for searches of `config.neighborhood` moves over the
+    /// evaluator's problem instance.
+    pub(crate) fn new(
+        evaluator: &SystemEvaluator,
+        policy_moves: PolicyMoves,
+        config: SearchConfig,
+    ) -> Self {
+        let vocabulary = MoveVocabulary::new(
+            evaluator.app(),
+            evaluator.k(),
+            policy_moves,
+            config.max_checkpoints,
+        );
+        ProposalPool {
+            vocabulary,
+            neighborhood: config.neighborhood,
+            slots: Vec::with_capacity(config.neighborhood),
+            len: 0,
+            scores: Vec::with_capacity(config.neighborhood),
+        }
+    }
+
+    /// Samples a whole neighborhood of `current` — up to `neighborhood`
+    /// candidate moves — then scores it through one batch pass (the
+    /// kernel's base is the search's current state, so most candidates
+    /// re-schedule only a shared-prefix suffix).
+    ///
+    /// Degenerate samples (no-op moves, fixed or single-node processes),
+    /// infeasible applications and infeasible copy placements are skipped,
+    /// and the RNG stream is consumed exactly as the sequential proposal
+    /// loop did (scoring never draws from it). Candidates whose evaluation
+    /// fails (e.g. a policy the bus cannot carry) are left unscored:
+    /// [`ProposalPool::scored`] skips them.
+    pub(crate) fn sample_neighborhood(
+        &mut self,
+        evaluator: &mut SystemEvaluator,
+        current: &Synthesized,
+        rng: &mut ChaCha8Rng,
+    ) {
+        let app = evaluator.app();
+        let arch = evaluator.platform().architecture();
+        self.len = 0;
+        for _ in 0..self.neighborhood {
+            let Some(mv) = self.vocabulary.sample(&current.mapping, &current.policies, rng) else {
+                continue;
             };
-            Some((synthesized, pr.process))
-        })
-        .collect()
+            if self.len == self.slots.len() {
+                self.slots.push(Proposal { process: mv.process(), state: current.clone() });
+            }
+            let slot = &mut self.slots[self.len];
+            slot.process = mv.process();
+            slot.state.mapping.clone_from(&current.mapping);
+            slot.state.policies.clone_from(&current.policies);
+            if !mv.apply_to(app, arch, &mut slot.state.mapping, &mut slot.state.policies) {
+                continue;
+            }
+            // Infeasible copy placements are skipped rather than surfaced:
+            // the move is simply not available.
+            if slot
+                .state
+                .copies
+                .rederive(app, arch, &slot.state.mapping, &slot.state.policies)
+                .is_err()
+            {
+                continue;
+            }
+            self.len += 1;
+        }
+        evaluator.evaluate_batch_into(&self.slots[..self.len], &mut self.scores);
+        for (slot, score) in self.slots.iter_mut().zip(&self.scores) {
+            if let Ok(estimate) = score {
+                slot.state.estimate = *estimate;
+            }
+        }
+    }
+
+    /// Number of proposals in the current neighborhood (scored or not).
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Proposal `i` of the current neighborhood, in sample order, if its
+    /// evaluation succeeded.
+    pub(crate) fn scored(&self, i: usize) -> Option<&Proposal> {
+        self.scores[i].is_ok().then(|| &self.slots[i])
+    }
+
+    /// Makes proposal `i` the search's current state. The slot receives the
+    /// previous current state, which the next sample overwrites.
+    pub(crate) fn swap_into(&mut self, i: usize, current: &mut Synthesized) {
+        std::mem::swap(&mut self.slots[i].state, current);
+    }
 }
 
 /// Runs a tabu search from an initial state, minimizing the estimated
@@ -487,6 +654,7 @@ pub fn tabu_search_guarded_with(
     let deadline = evaluator.app().deadline();
     // Anchor the delta base at the search's starting state.
     evaluator.evaluate(&initial.copies, &initial.policies)?;
+    let mut pool = ProposalPool::new(evaluator, policy_moves, config);
     let mut current = initial.clone();
     let mut best = initial;
     let mut tabu_until = vec![0usize; n];
@@ -494,37 +662,29 @@ pub fn tabu_search_guarded_with(
 
     for iter in 0..config.iterations {
         // Sample the whole neighborhood, then score it in one batch pass.
-        let proposals = sample_neighborhood(evaluator, &current, policy_moves, config, &mut rng);
-        let candidates = score_neighborhood(evaluator, proposals);
-        let mut best_move: Option<(Synthesized, ProcessId)> = None;
-        for (candidate, p) in candidates {
-            let aspiration = config.calibrated_objective(&candidate, deadline)
-                < config.calibrated_objective(&best, deadline);
-            if tabu_until[p.index()] > iter && !aspiration {
+        pool.sample_neighborhood(evaluator, &current, &mut rng);
+        let best_objective = config.calibrated_objective(&best, deadline);
+        let mut best_move: Option<(usize, (bool, Time, Time))> = None;
+        for i in 0..pool.len() {
+            let Some(proposal) = pool.scored(i) else { continue };
+            let objective = config.calibrated_objective(&proposal.state, deadline);
+            let aspiration = objective < best_objective;
+            if tabu_until[proposal.process.index()] > iter && !aspiration {
                 continue;
             }
-            if best_move
-                .as_ref()
-                .map(|(s, _)| {
-                    config.calibrated_objective(&candidate, deadline)
-                        < config.calibrated_objective(s, deadline)
-                })
-                .unwrap_or(true)
-            {
-                best_move = Some((candidate, p));
+            if best_move.is_none_or(|(_, chosen)| objective < chosen) {
+                best_move = Some((i, objective));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
-        if let Some((next, p)) = best_move {
+        if let Some((i, objective)) = best_move {
             ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
+            let p = pool.scored(i).expect("chosen proposals are scored").process;
             tabu_until[p.index()] = iter + config.tenure;
-            if config.calibrated_objective(&next, deadline)
-                < config.calibrated_objective(&best, deadline)
-                && guard(&next)?
-            {
-                best = next.clone();
+            pool.swap_into(i, &mut current);
+            if objective < best_objective && guard(&current)? {
+                best.clone_from(&current);
             }
-            current = next;
             // Re-anchor the delta base at the accepted state.
             evaluator.evaluate(&current.copies, &current.policies)?;
         } else {
