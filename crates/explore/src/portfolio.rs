@@ -399,8 +399,17 @@ pub fn explore(
                     arch: platform.architecture(),
                     deadline: app.deadline(),
                 });
-                let context = RoundContext { app, platform, config, vocabulary: &vocabulary };
-                run_round(&context, &cache, &pool, thread, &mut worker, guard)
+                run_round(
+                    app,
+                    platform,
+                    config,
+                    &vocabulary,
+                    &cache,
+                    &pool,
+                    thread,
+                    &mut worker,
+                    guard,
+                )
             });
         for local in round_archives {
             archive.merge(local);
@@ -441,34 +450,30 @@ pub fn explore(
     })
 }
 
-/// The read-only inputs every worker round shares.
-struct RoundContext<'a> {
-    app: &'a Application,
-    platform: &'a Platform,
-    config: &'a PortfolioConfig,
-    vocabulary: &'a MoveVocabulary,
-}
-
 /// Advances one worker by `iterations_per_round` batched iterations.
 /// `thread` is the worker's scoped-thread slot, passed through as the
 /// preferred evaluator-pool slot so concurrent workers keep their own warm
 /// kernel.
+#[allow(clippy::too_many_arguments)]
 fn run_round(
-    context: &RoundContext<'_>,
+    app: &Application,
+    platform: &Platform,
+    config: &PortfolioConfig,
+    vocabulary: &MoveVocabulary,
     cache: &EstimateCache,
     pool: &EvaluatorPool,
     thread: usize,
     worker: &mut Worker,
     mut guard: Option<Guard<'_>>,
 ) -> ParetoArchive {
-    let (app, arch) = (context.app, context.platform.architecture());
+    let arch = platform.architecture();
     let mut local_archive = ParetoArchive::new();
 
-    for _ in 0..context.config.iterations_per_round {
+    for _ in 0..config.iterations_per_round {
         // 1. Sample the whole neighborhood without evaluating.
         let mut moves = Vec::with_capacity(worker.spec.neighborhood);
         for _ in 0..worker.spec.neighborhood {
-            if let Some(mv) = context.vocabulary.sample(
+            if let Some(mv) = vocabulary.sample(
                 &worker.current.mapping,
                 &worker.current.policies,
                 &mut worker.rng,

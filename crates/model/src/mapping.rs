@@ -160,11 +160,9 @@ impl Mapping {
             return Err(ModelError::UnknownProcess(p));
         }
         if self.assign.len() != app.process_count() {
-            // Not a mapping of `app`: the full check reports the arity.
-            let mut assign = self.assign.clone();
-            assign[p.index()] = node;
-            *self = Mapping::new(app, arch, assign)?;
-            return Ok(());
+            // Not a mapping of `app`: `Mapping::new`'s arity check fails first.
+            let missing = ProcessId::new(self.assign.len().min(app.process_count()));
+            return Err(ModelError::IncompleteMapping(missing));
         }
         if node.index() >= arch.node_count() {
             return Err(ModelError::UnknownNode(node));

@@ -381,9 +381,10 @@ impl MoveVocabulary {
 /// the given state **without evaluating it**; returns `None` for degenerate
 /// samples (no-op moves, fixed or single-node processes).
 ///
-/// Splitting sampling from evaluation lets callers batch evaluations —
-/// `ftes-explore` fans a whole neighborhood across a thread pool and a
-/// memoized estimate cache.
+/// The one-shot form of [`MoveVocabulary::sample`]: it rebuilds the
+/// process's candidate lists on every call, so searches draw from a
+/// vocabulary instead; this stays the reference the vocabulary is tested
+/// against.
 pub fn sample_move(
     app: &Application,
     mapping: &Mapping,
@@ -664,7 +665,7 @@ pub fn tabu_search_guarded_with(
         // Sample the whole neighborhood, then score it in one batch pass.
         pool.sample_neighborhood(evaluator, &current, &mut rng);
         let best_objective = config.calibrated_objective(&best, deadline);
-        let mut best_move: Option<(usize, (bool, Time, Time))> = None;
+        let mut best_move: Option<(usize, ProcessId, (bool, Time, Time))> = None;
         for i in 0..pool.len() {
             let Some(proposal) = pool.scored(i) else { continue };
             let objective = config.calibrated_objective(&proposal.state, deadline);
@@ -672,14 +673,13 @@ pub fn tabu_search_guarded_with(
             if tabu_until[proposal.process.index()] > iter && !aspiration {
                 continue;
             }
-            if best_move.is_none_or(|(_, chosen)| objective < chosen) {
-                best_move = Some((i, objective));
+            if best_move.is_none_or(|(_, _, chosen)| objective < chosen) {
+                best_move = Some((i, proposal.process, objective));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
-        if let Some((i, objective)) = best_move {
+        if let Some((i, p, objective)) = best_move {
             ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-            let p = pool.scored(i).expect("chosen proposals are scored").process;
             tabu_until[p.index()] = iter + config.tenure;
             pool.swap_into(i, &mut current);
             if objective < best_objective && guard(&current)? {
