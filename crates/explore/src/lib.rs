@@ -73,7 +73,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{fnv1a64, CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
+pub use cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
 pub use pool::{evaluate_batch, evaluate_state, EvaluatorPool};
 pub use portfolio::{
     default_portfolio, explore, EngineKind, Exploration, ExploreError, PortfolioConfig, WorkerSpec,

@@ -9,12 +9,12 @@
 //! `(suite seed, point)` the results are identical no matter how the
 //! points are interleaved.
 
-use crate::cache::{fnv1a64, CacheStats, StateKey};
+use crate::cache::{CacheStats, StateKey};
 use crate::portfolio::{explore, ExploreError, PortfolioConfig};
 use crate::ParetoArchive;
 use ftes_ftcpg::{build_ftcpg, BuildConfig, CopyMapping, CpgError, FtCpg};
 use ftes_gen::{generate_application, GeneratorConfig};
-use ftes_model::{Application, FaultModel, Time, Transparency};
+use ftes_model::{fnv1a64, Application, FaultModel, Time, Transparency};
 use ftes_opt::Synthesized;
 use ftes_sched::{
     schedule_ftcpg, CertOutcome, Certifier, CertifyConfig, ConditionalSchedule, EvaluatorStats,

@@ -29,7 +29,7 @@
 //! results replay byte-identically.
 
 use crate::request::JobRequest;
-use ftes::explore::fnv1a64;
+use ftes::model::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;

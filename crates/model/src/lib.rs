@@ -40,6 +40,7 @@ mod arch;
 pub mod dot;
 mod error;
 mod fault;
+mod hash;
 mod ids;
 pub mod json;
 mod mapping;
@@ -53,6 +54,7 @@ pub use app::{Application, ApplicationBuilder, Message, Process, ProcessSpec};
 pub use arch::{Architecture, Node};
 pub use error::ModelError;
 pub use fault::FaultModel;
+pub use hash::fnv1a64;
 pub use ids::{MessageId, NodeId, ProcessId};
 pub use mapping::Mapping;
 pub use merge::merge_applications;

@@ -17,7 +17,8 @@
 //! eviction scan is noise next to a synthesis run.
 
 use crate::sync;
-use ftes::explore::{fnv1a64, CacheStats};
+use ftes::explore::CacheStats;
+use ftes::model::fnv1a64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
