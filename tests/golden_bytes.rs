@@ -10,43 +10,14 @@
 
 use ftes::explore::{run_suite, suite_to_csv, suite_to_json};
 use ftes_jobs::{execute_request, parse_explore_request, JobRequest};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
+
+mod common;
+use common::{check, root, spec_paths};
 
 /// The pinned explore suite: two application seeds of a 12-process,
 /// 3-node, k = 2 point, two rounds of six iterations, certification on.
 const EXPLORE_PARAMS: &str = "processes=12 nodes=3 k=2 seeds=2 rounds=2 iters=6 seed=5 threads=2";
-
-fn root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Compares `actual` with the golden file `name`, or rewrites the file
-/// when blessing.
-fn check(name: &str, actual: &str) {
-    let path = root().join("tests/golden").join(name);
-    if std::env::var_os("FTES_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (bless with FTES_BLESS_GOLDEN=1)", path.display()));
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden bytes\n--- golden\n{expected}\n--- actual\n{actual}"
-    );
-}
-
-fn spec_paths(dir: &Path) -> Vec<PathBuf> {
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("specs/ directory exists")
-        .map(|entry| entry.expect("readable directory entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "ftes"))
-        .collect();
-    paths.sort();
-    paths
-}
 
 #[test]
 fn every_spec_renders_its_golden_synthesis() {
