@@ -406,12 +406,14 @@ impl Builder<'_> {
             let mut next = Vec::new();
             for a in &arrivals {
                 for o in &self.msg_outputs[mid.index()] {
-                    if let Some(g) = a.guard.and(&o.guard) {
-                        if g.fault_count() <= self.k {
-                            let mut sources = a.sources.clone();
-                            sources.push(o.source);
-                            next.push(ArrivalCtx { guard: g, sources });
-                        }
+                    // Most pairs are contradictory or over budget: reject
+                    // them with the allocation-free scan, build the rest.
+                    if a.guard.and_fault_count(&o.guard).is_some_and(|f| f <= self.k) {
+                        let guard = a.guard.and(&o.guard).expect("the scan found no conflict");
+                        let mut sources = Vec::with_capacity(a.sources.len() + 1);
+                        sources.extend_from_slice(&a.sources);
+                        sources.push(o.source);
+                        next.push(ArrivalCtx { guard, sources });
                     }
                 }
             }

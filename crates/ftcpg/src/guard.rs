@@ -7,7 +7,9 @@
 //! tables in Fig. 6.
 
 use crate::CpgNodeId;
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// One condition literal: the producing conditional node and the required
 /// outcome (`true` = fault occurred).
@@ -38,7 +40,9 @@ impl Literal {
 
 /// A conjunction of condition literals, kept sorted and duplicate-free.
 ///
-/// The empty guard is `true` (unconditional execution).
+/// The empty guard is `true` (unconditional execution). The literals are
+/// shared: cloning a guard bumps a reference count, and a conjunction
+/// allocates only when it is actually built.
 ///
 /// # Examples
 ///
@@ -53,7 +57,7 @@ impl Literal {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Guard {
-    literals: Vec<Literal>,
+    literals: Arc<[Literal]>,
 }
 
 impl Guard {
@@ -76,7 +80,7 @@ impl Guard {
         for w in v.windows(2) {
             assert!(w[0].cond != w[1].cond, "contradictory guard literals for {:?}", w[0].cond);
         }
-        Guard { literals: v }
+        Guard { literals: v.into() }
     }
 
     /// The literals of the conjunction, sorted by condition id.
@@ -109,9 +113,10 @@ impl Guard {
                 }
             }
             Err(i) => {
-                let mut v = self.literals.clone();
-                v.insert(i, lit);
-                Some(Guard { literals: v })
+                let (head, tail) = self.literals.split_at(i);
+                let literals =
+                    head.iter().copied().chain(std::iter::once(lit)).chain(tail.iter().copied());
+                Some(Guard { literals: literals.collect() })
             }
         }
     }
@@ -121,32 +126,43 @@ impl Guard {
     /// Returns `None` if they are contradictory (contain complementary
     /// literals) — the combined context is unreachable.
     pub fn and(&self, other: &Guard) -> Option<Guard> {
-        let mut out = Vec::with_capacity(self.literals.len() + other.literals.len());
+        let (len, _) = merge_scan(&self.literals, &other.literals)?;
+        if len == self.literals.len() {
+            return Some(self.clone());
+        }
+        if len == other.literals.len() {
+            return Some(other.clone());
+        }
+        // Allocate the merged slice once, at its final length, then fill it
+        // in place (a fresh `Arc` is unique, so `get_mut` cannot fail).
+        let mut literals: Arc<[Literal]> =
+            std::iter::repeat_n(Literal::fault(CpgNodeId::new(0)), len).collect();
+        let out = Arc::get_mut(&mut literals).expect("a fresh Arc is unique");
+        let (a, b) = (&self.literals, &other.literals);
         let (mut i, mut j) = (0, 0);
-        while i < self.literals.len() && j < other.literals.len() {
-            let (a, b) = (self.literals[i], other.literals[j]);
-            match a.cond.cmp(&b.cond) {
-                std::cmp::Ordering::Less => {
-                    out.push(a);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b);
+        for slot in out.iter_mut() {
+            let take_a = j == b.len() || (i < a.len() && a[i].cond <= b[j].cond);
+            if take_a {
+                *slot = a[i];
+                if j < b.len() && a[i].cond == b[j].cond {
                     j += 1;
                 }
-                std::cmp::Ordering::Equal => {
-                    if a.fault != b.fault {
-                        return None;
-                    }
-                    out.push(a);
-                    i += 1;
-                    j += 1;
-                }
+                i += 1;
+            } else {
+                *slot = b[j];
+                j += 1;
             }
         }
-        out.extend_from_slice(&self.literals[i..]);
-        out.extend_from_slice(&other.literals[j..]);
-        Some(Guard { literals: out })
+        Some(Guard { literals })
+    }
+
+    /// Number of fault literals of `self ∧ other`, or `None` if the two
+    /// guards are contradictory — the same answer as
+    /// `self.and(other).map(|g| g.fault_count())`, computed without
+    /// building the conjunction. FT-CPG construction uses it to reject
+    /// unreachable and over-budget contexts before allocating them.
+    pub fn and_fault_count(&self, other: &Guard) -> Option<u32> {
+        merge_scan(&self.literals, &other.literals).map(|(_, faults)| faults)
     }
 
     /// `true` iff the two guards can never hold simultaneously (they contain
@@ -154,7 +170,7 @@ impl Guard {
     /// processor or bus interval — the alternative-paths-are-disjoint
     /// property of §5.1.
     pub fn excludes(&self, other: &Guard) -> bool {
-        self.and(other).is_none()
+        merge_scan(&self.literals, &other.literals).is_none()
     }
 
     /// `true` iff every scenario satisfying `self` also satisfies `other`
@@ -173,7 +189,7 @@ impl Guard {
     /// `None` if some relevant condition is unassigned.
     pub fn evaluate(&self, outcome: impl Fn(CpgNodeId) -> Option<bool>) -> Option<bool> {
         let mut all_known = true;
-        for l in &self.literals {
+        for l in self.literals.iter() {
             match outcome(l.cond) {
                 Some(v) if v != l.fault => return Some(false),
                 Some(_) => {}
@@ -205,6 +221,32 @@ impl Guard {
             .collect::<Vec<_>>()
             .join(" ∧ ")
     }
+}
+
+/// One merge pass over two sorted literal slices: the length and fault
+/// count of their conjunction, or `None` at the first complementary pair.
+fn merge_scan(a: &[Literal], b: &[Literal]) -> Option<(usize, u32)> {
+    let (mut i, mut j) = (0, 0);
+    let (mut len, mut faults) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let lit = a[i].min(b[j]);
+        match a[i].cond.cmp(&b[j].cond) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal if a[i].fault == b[j].fault => {
+                i += 1;
+                j += 1;
+            }
+            Ordering::Equal => return None,
+        }
+        len += 1;
+        faults += u32::from(lit.fault);
+    }
+    for lit in a[i..].iter().chain(&b[j..]) {
+        len += 1;
+        faults += u32::from(lit.fault);
+    }
+    Some((len, faults))
 }
 
 impl fmt::Display for Guard {
@@ -250,7 +292,18 @@ mod tests {
         assert_eq!(ab.literals().len(), 3);
         let conflict = Guard::of([Literal::fault(c(2))]);
         assert!(a.and(&conflict).is_none());
+        assert_eq!(a.and_fault_count(&conflict), None);
+        assert_eq!(a.and_fault_count(&b), Some(2));
         assert!(a.excludes(&conflict));
+    }
+
+    #[test]
+    fn clones_and_absorbed_conjunctions_share_literals() {
+        let a = Guard::of([Literal::fault(c(0)), Literal::no_fault(c(2))]);
+        let implied = Guard::of([Literal::no_fault(c(2))]);
+        assert!(std::ptr::eq(a.clone().literals(), a.literals()));
+        assert!(std::ptr::eq(a.and(&implied).unwrap().literals(), a.literals()));
+        assert!(std::ptr::eq(Guard::always().and(&a).unwrap().literals(), a.literals()));
     }
 
     #[test]
