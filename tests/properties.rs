@@ -1,7 +1,9 @@
 //! Property-based tests of the core invariants, spanning crates.
 
 use ftes::ft::{PolicyAssignment, RecoveryScheme};
-use ftes::ftcpg::{build_ftcpg, enumerate_scenarios, BuildConfig, CopyMapping, Guard, Literal};
+use ftes::ftcpg::{
+    build_ftcpg, enumerate_scenarios, BuildConfig, CopyMapping, CpgNodeId, Guard, Literal,
+};
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{FaultModel, Mapping, Time, Transparency};
 use ftes::sched::{schedule_ftcpg, SchedConfig};
@@ -9,31 +11,96 @@ use ftes::sim::simulate;
 use ftes::tdma::{Platform, TdmaBus};
 use proptest::prelude::*;
 
+fn guard_of(literals: std::collections::BTreeMap<usize, bool>) -> Guard {
+    Guard::of(literals.into_iter().map(|(v, f)| Literal { cond: CpgNodeId::new(v), fault: f }))
+}
+
 fn guard_strategy() -> impl Strategy<Value = Guard> {
     // Up to 5 literals over 8 condition variables, consistent by
     // construction (one polarity per variable).
-    proptest::collection::btree_map(0usize..8, any::<bool>(), 0..5).prop_map(|m| {
-        Guard::of(
-            m.into_iter().map(|(v, f)| Literal { cond: ftes::ftcpg::CpgNodeId::new(v), fault: f }),
-        )
-    })
+    proptest::collection::btree_map(0usize..8, any::<bool>(), 0..5).prop_map(guard_of)
+}
+
+fn long_guard_strategy() -> impl Strategy<Value = Guard> {
+    // Up to 24 literals over 32 condition variables: the guard lengths of
+    // deep FT-CPG contexts.
+    proptest::collection::btree_map(0usize..32, any::<bool>(), 0..25).prop_map(guard_of)
+}
+
+/// `b` with every condition it shares with `a` set to `a`'s polarity: a
+/// guard consistent with `a`. Two independent long guards almost always
+/// contradict each other; this gives the consistent case its share.
+fn aligned_with(a: &Guard, b: &Guard) -> Guard {
+    Guard::of(
+        b.literals()
+            .iter()
+            .map(|&l| a.literals().iter().copied().find(|m| m.cond == l.cond).unwrap_or(l)),
+    )
+}
+
+fn hash_of(g: &Guard) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    g.hash(&mut h);
+    h.finish()
+}
+
+/// The conjunction laws every pair of guards obeys.
+fn conjunction_laws(a: &Guard, b: &Guard) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.excludes(b), b.excludes(a), "exclusion is symmetric");
+    prop_assert!(!a.excludes(a), "a guard never excludes itself");
+    prop_assert_eq!(a.and(b), b.and(a), "conjunction is commutative");
+    prop_assert!(a.implies(a));
+    prop_assert_eq!(a.excludes(b), a.and(b).is_none(), "excludes is a failed conjunction");
+    prop_assert_eq!(
+        a.and_fault_count(b),
+        a.and(b).map(|g| g.fault_count()),
+        "the scan counts the faults of the conjunction it does not build"
+    );
+    if let Some(ab) = a.and(b) {
+        prop_assert!(ab.implies(a) && ab.implies(b));
+        prop_assert_eq!(
+            ab.fault_count() as usize,
+            ab.literals().iter().filter(|l| l.fault).count()
+        );
+        // The same literal set built another way: equal, same hash, and
+        // ordered equal.
+        let rebuilt = Guard::of(ab.literals().iter().rev().copied());
+        prop_assert_eq!(&rebuilt, &ab);
+        prop_assert_eq!(hash_of(&rebuilt), hash_of(&ab));
+        prop_assert_eq!(rebuilt.cmp(&ab), std::cmp::Ordering::Equal);
+    }
+    Ok(())
 }
 
 proptest! {
     /// Guard exclusivity is symmetric and irreflexive; conjunction is
-    /// commutative; implication is reflexive and consistent with `and`.
+    /// commutative; implication is reflexive and consistent with `and`;
+    /// `excludes` and `and_fault_count` agree with the built conjunction;
+    /// `and_literal` leaves the guard it extends (and every clone sharing
+    /// its literals) unchanged; equal literal sets hash and order equal.
     #[test]
-    fn guard_algebra(a in guard_strategy(), b in guard_strategy()) {
-        prop_assert_eq!(a.excludes(&b), b.excludes(&a), "exclusion is symmetric");
-        prop_assert!(!a.excludes(&a), "a guard never excludes itself");
-        prop_assert_eq!(a.and(&b), b.and(&a), "conjunction is commutative");
-        prop_assert!(a.implies(&a));
-        if let Some(ab) = a.and(&b) {
-            prop_assert!(ab.implies(&a) && ab.implies(&b));
-            prop_assert_eq!(
-                ab.fault_count() as usize,
-                ab.literals().iter().filter(|l| l.fault).count()
-            );
+    fn guard_algebra(
+        a in guard_strategy(),
+        b in guard_strategy(),
+        long_a in long_guard_strategy(),
+        long_b in long_guard_strategy(),
+        cond in 0usize..40,
+        fault in any::<bool>(),
+    ) {
+        conjunction_laws(&a, &b)?;
+        conjunction_laws(&long_a, &long_b)?;
+        conjunction_laws(&long_a, &aligned_with(&long_a, &long_b))?;
+
+        let lit = Literal { cond: CpgNodeId::new(cond), fault };
+        let shared = long_a.clone();
+        let before = long_a.literals().to_vec();
+        let extended = shared.and_literal(lit);
+        prop_assert_eq!(shared.literals(), &before[..], "and_literal changed its receiver");
+        prop_assert_eq!(long_a.literals(), &before[..], "and_literal changed a shared clone");
+        prop_assert_eq!(extended.clone(), long_a.and(&Guard::of([lit])));
+        if let Some(g) = extended {
+            prop_assert!(g.implies(&long_a) && g.literals().contains(&lit));
         }
     }
 
