@@ -179,7 +179,14 @@ pub(crate) fn evaluate_batch_keyed(
     candidates: &[(Mapping, PolicyAssignment)],
     thread: usize,
 ) -> Vec<(StateKey, Option<Estimate>)> {
-    // Phase 1: probe the cache for every candidate, in input order,
+    // Phase 1: derive copy placements. A state whose placement fails is
+    // infeasible without ever reaching the cache or the kernel.
+    let arch = pool.platform.architecture();
+    let placed: Vec<Option<CopyMapping>> = candidates
+        .iter()
+        .map(|(mapping, policies)| CopyMapping::from_base(&pool.app, arch, mapping, policies).ok())
+        .collect();
+    // Phase 2: probe the cache for every placed candidate, in input order,
     // reserving the misses. A key sampled twice in the same neighborhood
     // is scored once (the repeat probe hits this batch's own reservation
     // and forwards the first occurrence's result); a key another worker is
@@ -191,6 +198,10 @@ pub(crate) fn evaluate_batch_keyed(
     let mut dup_of: Vec<(usize, usize)> = Vec::new();
     for (i, (mapping, policies)) in candidates.iter().enumerate() {
         let key = StateKey::encode(mapping, policies);
+        if placed[i].is_none() {
+            out.push((key, None));
+            continue;
+        }
         if let Some(&src) = first_at.get(&key) {
             let _ = cache.probe_or_reserve(&key);
             dup_of.push((i, src));
@@ -207,35 +218,26 @@ pub(crate) fn evaluate_batch_keyed(
         }
     }
     if miss_idx.is_empty() {
+        for &(dup, src) in &dup_of {
+            out[dup].1 = out[src].1;
+        }
         return out;
     }
-    // Phase 2: derive copy placements for the misses. Infeasible placements
-    // cache as `None` without ever reaching the kernel (the same "move
-    // unavailable" convention as `evaluate_state`).
-    let arch = pool.platform.architecture();
-    let mut placed: Vec<(usize, CopyMapping)> = Vec::with_capacity(miss_idx.len());
-    for &i in &miss_idx {
-        let (mapping, policies) = &candidates[i];
-        if let Ok(copies) = CopyMapping::from_base(&pool.app, arch, mapping, policies) {
-            placed.push((i, copies));
-        }
-    }
-    // Phase 3: one warm kernel scores every remaining miss in a single
-    // batch pass.
-    if !placed.is_empty() {
-        let results = pool.with(thread, |evaluator| {
-            if let Some((mapping, policies)) = anchor {
-                if let Ok(copies) = CopyMapping::from_base(&pool.app, arch, mapping, policies) {
-                    let _ = evaluator.evaluate(&copies, policies);
-                }
+    // Phase 3: one warm kernel scores every miss in a single batch pass.
+    let results = pool.with(thread, |evaluator| {
+        if let Some((mapping, policies)) = anchor {
+            if let Ok(copies) = CopyMapping::from_base(&pool.app, arch, mapping, policies) {
+                let _ = evaluator.evaluate(&copies, policies);
             }
-            let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
-                placed.iter().map(|&(i, ref copies)| (copies, &candidates[i].1)).collect();
-            evaluator.evaluate_batch(&refs)
-        });
-        for (&(i, _), result) in placed.iter().zip(results) {
-            out[i].1 = result.ok();
         }
+        let refs: Vec<(&CopyMapping, &PolicyAssignment)> = miss_idx
+            .iter()
+            .map(|&i| (placed[i].as_ref().expect("misses are placed"), &candidates[i].1))
+            .collect();
+        evaluator.evaluate_batch(&refs)
+    });
+    for (&i, result) in miss_idx.iter().zip(results) {
+        out[i].1 = result.ok();
     }
     // Phase 4: publish the scored results, completing this batch's
     // reservations (`resolve` never overwrites a value another worker got

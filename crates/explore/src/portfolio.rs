@@ -221,9 +221,15 @@ impl Candidate {
         Candidate { mapping, policies, estimate, key }
     }
 
-    /// Search objective: worst case, fault-free tie-break, canonical key as
-    /// the final deterministic tie-break.
-    fn objective(&self) -> (Time, Time, &StateKey) {
+    /// Search objective: worst case, fault-free tie-break — the serial
+    /// searches' rule, so ties keep the first candidate in sample order.
+    fn objective(&self) -> (Time, Time) {
+        (self.estimate.worst_case_length, self.estimate.fault_free_length)
+    }
+
+    /// Barrier rank: the objective, then the canonical key, so the
+    /// incumbent never depends on which worker found it.
+    fn rank(&self) -> (Time, Time, &StateKey) {
         (self.estimate.worst_case_length, self.estimate.fault_free_length, &self.key)
     }
 }
@@ -419,14 +425,14 @@ pub fn explore(
         let incumbent = workers
             .iter()
             .map(|w| w.lock().expect("worker state poisoned").best.clone())
-            .min_by(|a, b| a.objective().cmp(&b.objective()))
+            .min_by(|a, b| a.rank().cmp(&b.rank()))
             .expect("portfolio is non-empty");
         for slot in &workers {
             let mut worker = slot.lock().expect("worker state poisoned");
-            if incumbent.objective() < worker.best.objective() {
+            if incumbent.rank() < worker.best.rank() {
                 worker.best = incumbent.clone();
             }
-            if incumbent.objective() < worker.current.objective() {
+            if incumbent.rank() < worker.current.rank() {
                 worker.current = incumbent.clone();
             }
         }
@@ -435,7 +441,7 @@ pub fn explore(
     let best = workers
         .into_iter()
         .map(|w| w.into_inner().expect("worker state poisoned").best)
-        .min_by(|a, b| a.objective().cmp(&b.objective()))
+        .min_by(|a, b| a.rank().cmp(&b.rank()))
         .expect("portfolio is non-empty");
     // Rebuild the full synthesized configuration (replica placement) for
     // the winner; its feasibility was established when it was evaluated.
