@@ -11,9 +11,8 @@
 
 use ftes::ft::PolicyAssignment;
 use ftes::model::Mapping;
-use ftes::opt::{
-    greedy_descent, simulated_annealing, tabu_search_traced, PolicyMoves, SearchConfig, Synthesized,
-};
+use ftes::opt::{EngineKind, PolicyMoves, SearchConfig, Synthesized, Walker};
+use ftes::sched::SystemEvaluator;
 use ftes_bench::{mean, platform, workload, ExperimentPoint};
 
 fn main() {
@@ -27,8 +26,11 @@ fn main() {
     );
     println!("{:<10} | {:>12} | {:>14}", "engine", "avg objective", "last improve");
 
-    let mut rows: Vec<(&str, Vec<f64>, Vec<f64>)> =
-        vec![("greedy", vec![], vec![]), ("tabu", vec![], vec![]), ("annealing", vec![], vec![])];
+    let mut rows: Vec<(&str, EngineKind, Vec<f64>, Vec<f64>)> = vec![
+        ("greedy", EngineKind::Greedy, vec![], vec![]),
+        ("tabu", EngineKind::Tabu, vec![], vec![]),
+        ("annealing", EngineKind::Anneal, vec![], vec![]),
+    ];
     for seed in 0..seeds {
         let app = workload(point, seed);
         let mapping = Mapping::cheapest(&app, plat.architecture()).expect("mappable");
@@ -36,22 +38,27 @@ fn main() {
         let initial = Synthesized::evaluate(&app, &plat, mapping, policies, point.k)
             .expect("initial state evaluates");
         let cfg = SearchConfig { seed, ..cfg };
-        let runs: Vec<(Synthesized, Vec<i64>)> = vec![
-            greedy_descent(&app, &plat, point.k, initial.clone(), PolicyMoves::Full, cfg)
-                .expect("greedy runs"),
-            tabu_search_traced(&app, &plat, point.k, initial.clone(), PolicyMoves::Full, cfg)
-                .expect("tabu runs"),
-            simulated_annealing(&app, &plat, point.k, initial, PolicyMoves::Full, cfg)
-                .expect("annealing runs"),
-        ];
-        for (row, (result, trace)) in rows.iter_mut().zip(runs) {
-            row.1.push(result.estimate.worst_case_length.as_f64());
+        for (_, engine, objectives, improves) in &mut rows {
+            // The serial search, stepped by hand to record the best
+            // worst-case length after every iteration.
+            let mut evaluator = SystemEvaluator::new(&app, &plat, point.k);
+            evaluator
+                .evaluate(&initial.copies, &initial.policies)
+                .expect("initial state evaluates");
+            let mut walker =
+                Walker::new(*engine, &app, point.k, initial.clone(), PolicyMoves::Full, cfg);
+            let mut trace = Vec::with_capacity(cfg.iterations);
+            for _ in 0..cfg.iterations {
+                walker.step(&mut evaluator, None).expect("search step runs");
+                trace.push(walker.best().estimate.worst_case_length.units());
+            }
+            objectives.push(walker.best().estimate.worst_case_length.as_f64());
             let last_improve =
                 trace.windows(2).rposition(|w| w[1] < w[0]).map(|i| i + 1).unwrap_or(0);
-            row.2.push(last_improve as f64);
+            improves.push(last_improve as f64);
         }
     }
-    for (name, objectives, improves) in &rows {
+    for (name, _, objectives, improves) in &rows {
         println!("{name:<10} | {:>12.1} | {:>14.1}", mean(objectives), mean(improves));
     }
     println!("# tabu's diversification should match or beat greedy; annealing trails on");

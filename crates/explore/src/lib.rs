@@ -1,32 +1,29 @@
 //! # ftes-explore
 //!
 //! Parallel, cache-accelerated design-space exploration for the FTES
-//! synthesis flow — the scale layer over `ftes-opt`'s serial searches.
+//! synthesis flow — the scale layer over `ftes-opt`'s search engine.
 //!
 //! The paper's §6 synthesis evaluates one candidate `(mapping, policy)`
 //! state at a time; the 100-process / k = 7 experiment grid is therefore
 //! bounded by single-core estimator throughput. This crate lifts that
-//! limit with four cooperating pieces:
+//! limit with three cooperating pieces:
 //!
-//! * **Batched neighborhood evaluation** ([`evaluate_batch`]) — a search
-//!   iteration samples its whole neighborhood first (via the move
-//!   primitives `ftes-opt` exposes), probes the cache for every candidate,
-//!   then scores all misses in one cache-warm pass of the SoA evaluator
-//!   kernel (`SystemEvaluator::evaluate_batch`), sharing the schedule
-//!   prefix across the neighborhood; workers parallelize above it on
-//!   scoped threads.
+//! * **Portfolio of diversified searchers** ([`explore`]) — tabu /
+//!   simulated-annealing / greedy workers ([`EngineKind`]) with distinct
+//!   seeds and tunables run concurrently on scoped threads. Each worker is
+//!   the serial search of `ftes-opt` (its `Walker`: sample, score,
+//!   accept), driven round by round with its own warm evaluator kernel;
+//!   incumbents are shared at deterministic round barriers.
 //! * **Memoized estimate cache** ([`EstimateCache`]) — candidate states
-//!   are keyed by a canonical, collision-free encoding ([`StateKey`]);
-//!   any state revisited by any worker is answered without re-running the
-//!   estimator, and infeasibility is cached too.
+//!   are keyed by a canonical, collision-free encoding ([`StateKey`]); a
+//!   worker probes the cache for every sampled proposal and scores only
+//!   the misses, in one batch pass of its kernel, so any state revisited
+//!   by any worker is answered without re-running the estimator, and
+//!   infeasibility is cached too.
 //! * **Pareto archive** ([`ParetoArchive`]) — every visited candidate is
 //!   offered to an order-independent non-dominated archive over the §3.3
 //!   trade-off (worst-case length, recovery slack, schedule-table size),
 //!   so one run yields the whole front.
-//! * **Portfolio of diversified searchers** ([`explore`]) — tabu /
-//!   simulated-annealing / greedy workers with distinct seeds and
-//!   tunables run concurrently, sharing the cache continuously and
-//!   incumbents at deterministic round barriers.
 //!
 //! A [scenario-suite runner](run_suite) sweeps the §6 experiment grid
 //! ([`paper_grid`]: 20–100 processes, 2–6 nodes, k = 3–7) with
@@ -74,9 +71,9 @@ mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
 pub use cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
-pub use pool::{evaluate_batch, evaluate_state, EvaluatorPool};
+pub use ftes_opt::EngineKind;
 pub use portfolio::{
-    default_portfolio, explore, EngineKind, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
+    default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,
 };
 pub use report::{suite_to_csv, suite_to_json};
 pub use suite::{

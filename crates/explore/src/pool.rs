@@ -1,31 +1,25 @@
-//! Batched neighborhood evaluation over a pool of warm kernels.
+//! Worker-level parallelism and cache-backed neighborhood scoring.
 //!
 //! Parallelism lives at the *worker* level: the portfolio engine fans its
-//! search workers across scoped threads, and the scenario-suite runner
-//! fans independent grid points the same way, both through a deliberately
-//! simple work-queue over `std::thread::scope` — no channels, no pool
-//! object to keep alive, results returned in input order regardless of
-//! which thread computed them (the property every determinism guarantee in
-//! this crate leans on).
+//! search workers across scoped threads through a deliberately simple
+//! work-queue over `std::thread::scope` — no channels, no pool object to
+//! keep alive, results returned in input order regardless of which thread
+//! computed them (the property every determinism guarantee in this crate
+//! leans on).
 //!
-//! Within a worker, a whole sampled neighborhood is scored by **one** warm
-//! kernel in a single [`SystemEvaluator::evaluate_batch`] pass: the cache
-//! is probed for every candidate first, only the misses reach the kernel,
-//! and the batch shares the schedule prefix across the neighborhood. The
-//! [`EvaluatorPool`] keeps one lazily built kernel per worker slot, so the
-//! topology, recovery-scheme and resource-arena precomputation is paid
-//! once per exploration run instead of once per candidate state.
+//! Within a worker, a whole sampled neighborhood is scored by the worker's
+//! own warm kernel: every proposal probes the shared estimate cache first,
+//! and only the misses reach the kernel, in a single
+//! [`SystemEvaluator::evaluate_batch_into`] pass that shares the schedule
+//! prefix across the neighborhood.
 
+use crate::archive::{ArchiveEntry, Objectives, ParetoArchive};
 use crate::cache::{EstimateCache, Probe, StateKey};
 use ftes_ft::PolicyAssignment;
 use ftes_ftcpg::CopyMapping;
-use ftes_model::{Application, Mapping};
-use ftes_sched::{Estimate, EvaluatorStats, SystemEvaluator};
-use ftes_tdma::Platform;
-// ftes-lint: allow(determinism) reason="keyed evaluator checkout only; entries are never iterated into results"
-use std::collections::HashMap;
+use ftes_opt::Walker;
+use ftes_sched::{Estimate, SystemEvaluator};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Runs `f(thread, 0..n)` across up to `threads` scoped threads, returning
 /// results in index order. Work is claimed from a shared atomic counter, so
@@ -71,191 +65,70 @@ where
     slots.into_iter().map(|s| s.expect("every index claimed exactly once")).collect()
 }
 
-/// One warm [`SystemEvaluator`] per evaluation thread, constructed lazily:
-/// a slot's kernel is built on the slot's first evaluation, so a pool sized
-/// for the configured thread budget never pays for slots a smaller run
-/// leaves idle.
-pub struct EvaluatorPool {
-    app: Application,
-    platform: Platform,
-    k: u32,
-    slots: Vec<Mutex<Option<SystemEvaluator>>>,
-}
-
-impl EvaluatorPool {
-    /// A pool with `slots` evaluator slots for one `(app, platform, k)`
-    /// problem instance.
-    pub fn new(app: &Application, platform: &Platform, k: u32, slots: usize) -> Self {
-        EvaluatorPool {
-            app: app.clone(),
-            platform: platform.clone(),
-            k,
-            slots: (0..slots.max(1)).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Runs `f` with a (lazily constructed) warm evaluator, preferring slot
-    /// `thread` and probing onward when it is busy — concurrent callers
-    /// (e.g. the batch fan-outs of several portfolio workers) never
-    /// serialize on one kernel as long as a slot is free. Evaluation is a
-    /// pure function of the candidate state, so *which* kernel answers is
-    /// unobservable (the determinism contract is untouched).
-    pub fn with<R>(&self, thread: usize, f: impl FnOnce(&mut SystemEvaluator) -> R) -> R {
-        let n = self.slots.len();
-        let build = || SystemEvaluator::new(&self.app, &self.platform, self.k);
-        for off in 0..n {
-            if let Ok(mut slot) = self.slots[(thread + off) % n].try_lock() {
-                return f(slot.get_or_insert_with(build));
-            }
-        }
-        // Every slot busy: wait for the preferred one.
-        let mut slot = self.slots[thread % n].lock().expect("evaluator slot poisoned");
-        f(slot.get_or_insert_with(build))
-    }
-
-    /// Work counters aggregated across every constructed slot.
-    pub fn stats(&self) -> EvaluatorStats {
-        self.slots
-            .iter()
-            .filter_map(|s| s.lock().expect("evaluator slot poisoned").as_ref().map(|e| e.stats()))
-            .fold(EvaluatorStats::default(), EvaluatorStats::merged)
-    }
-}
-
-/// Evaluates one candidate state through a warm evaluator kernel: replica
-/// placement plus the root-schedule estimator. `None` means the state is
-/// infeasible (e.g. a policy the bus cannot carry) — the same "move
-/// unavailable" convention the serial searches in `ftes-opt` use.
-pub fn evaluate_state(
+/// Scores a walker's sampled neighborhood through the shared estimate
+/// cache: every proposal is probed in sample order, reserving the misses;
+/// only the misses run, in one batch pass of `evaluator`; their results are
+/// published back (`resolve` never overwrites a value another worker got
+/// there first with), recorded on the walker, and every feasible proposal
+/// is offered to `archive`.
+///
+/// A key another worker is concurrently computing — or one sampled twice
+/// in this neighborhood — counts as the hit it would be sequentially and
+/// is scored locally rather than waited on. Scores are pure functions of
+/// the state, so which kernel answers is unobservable.
+pub(crate) fn score_neighborhood(
+    walker: &mut Walker,
     evaluator: &mut SystemEvaluator,
-    mapping: &Mapping,
-    policies: &PolicyAssignment,
-) -> Option<Estimate> {
-    let copies = CopyMapping::from_base(
-        evaluator.app(),
-        evaluator.platform().architecture(),
-        mapping,
-        policies,
-    )
-    .ok()?;
-    evaluator.evaluate(&copies, policies).ok()
-}
-
-/// Evaluates a batch of candidate states through one warm evaluator kernel,
-/// memoizing through `cache`: every candidate is probed against the cache
-/// first, only the misses run — in a single
-/// [`SystemEvaluator::evaluate_batch`] pass that shares the schedule prefix
-/// across the whole neighborhood — and the results are published back.
-/// Results come back in input order; `None` marks infeasible states.
-///
-/// This is the batched neighborhood evaluator: a search worker samples its
-/// whole neighborhood first, then amortizes one cache-warm kernel pass over
-/// all candidates instead of paying the estimator serially per move.
-pub fn evaluate_batch(
-    pool: &EvaluatorPool,
     cache: &EstimateCache,
-    candidates: &[(Mapping, PolicyAssignment)],
-) -> Vec<Option<Estimate>> {
-    evaluate_batch_keyed(pool, cache, None, candidates, 0)
-        .into_iter()
-        .map(|(_, estimate)| estimate)
-        .collect()
-}
-
-/// [`evaluate_batch`] returning each candidate's canonical [`StateKey`]
-/// alongside its estimate, so hot callers (the portfolio workers) never
-/// encode a state twice.
-///
-/// `anchor`, when given, is evaluated first (through the same kernel) to
-/// pin the batch's delta base at the worker's current state — maximizing
-/// shared-prefix reuse and making the kernel's delta/full split
-/// deterministic regardless of which pooled kernel answers. `thread` picks
-/// the preferred pool slot (portfolio workers pass their worker-thread id,
-/// so concurrent workers never serialize on one kernel).
-pub(crate) fn evaluate_batch_keyed(
-    pool: &EvaluatorPool,
-    cache: &EstimateCache,
-    anchor: Option<(&Mapping, &PolicyAssignment)>,
-    candidates: &[(Mapping, PolicyAssignment)],
-    thread: usize,
-) -> Vec<(StateKey, Option<Estimate>)> {
-    // Phase 1: derive copy placements. A state whose placement fails is
-    // infeasible without ever reaching the cache or the kernel.
-    let arch = pool.platform.architecture();
-    let placed: Vec<Option<CopyMapping>> = candidates
-        .iter()
-        .map(|(mapping, policies)| CopyMapping::from_base(&pool.app, arch, mapping, policies).ok())
-        .collect();
-    // Phase 2: probe the cache for every placed candidate, in input order,
-    // reserving the misses. A key sampled twice in the same neighborhood
-    // is scored once (the repeat probe hits this batch's own reservation
-    // and forwards the first occurrence's result); a key another worker is
-    // concurrently computing counts as the hit it would be sequentially,
-    // and is scored locally rather than waited on.
-    let mut out: Vec<(StateKey, Option<Estimate>)> = Vec::with_capacity(candidates.len());
-    let mut miss_idx: Vec<usize> = Vec::new();
-    let mut first_at: HashMap<StateKey, usize> = HashMap::new();
-    let mut dup_of: Vec<(usize, usize)> = Vec::new();
-    for (i, (mapping, policies)) in candidates.iter().enumerate() {
-        let key = StateKey::encode(mapping, policies);
-        if placed[i].is_none() {
-            out.push((key, None));
-            continue;
-        }
-        if let Some(&src) = first_at.get(&key) {
-            let _ = cache.probe_or_reserve(&key);
-            dup_of.push((i, src));
-            out.push((key, None));
-            continue;
-        }
-        first_at.insert(key.clone(), i);
+    archive: &mut ParetoArchive,
+) {
+    let proposals = walker.proposals();
+    let mut keys = Vec::with_capacity(proposals.len());
+    let mut scores: Vec<Option<Estimate>> = Vec::with_capacity(proposals.len());
+    let mut misses = Vec::new();
+    for (i, state) in proposals.iter().enumerate() {
+        let key = StateKey::encode(&state.mapping, &state.policies);
         match cache.probe_or_reserve(&key) {
-            Probe::Ready(value) => out.push((key, value)),
+            Probe::Ready(value) => scores.push(value),
             Probe::Pending | Probe::Reserved => {
-                miss_idx.push(i);
-                out.push((key, None));
+                misses.push(i);
+                scores.push(None);
             }
         }
+        keys.push(key);
     }
-    if miss_idx.is_empty() {
-        for &(dup, src) in &dup_of {
-            out[dup].1 = out[src].1;
+    if !misses.is_empty() {
+        let refs: Vec<(&CopyMapping, &PolicyAssignment)> =
+            misses.iter().map(|&i| (&proposals[i].copies, &proposals[i].policies)).collect();
+        let mut results = Vec::with_capacity(refs.len());
+        evaluator.evaluate_batch_into(&refs, &mut results);
+        for (&i, result) in misses.iter().zip(results) {
+            scores[i] = result.ok();
+            cache.resolve(keys[i].clone(), scores[i]);
         }
-        return out;
     }
-    // Phase 3: one warm kernel scores every miss in a single batch pass.
-    let results = pool.with(thread, |evaluator| {
-        if let Some((mapping, policies)) = anchor {
-            if let Ok(copies) = CopyMapping::from_base(&pool.app, arch, mapping, policies) {
-                let _ = evaluator.evaluate(&copies, policies);
-            }
+    for ((state, key), &score) in proposals.iter().zip(keys).zip(&scores) {
+        if let Some(estimate) = score {
+            archive.insert(ArchiveEntry {
+                objectives: Objectives::of(&estimate, &state.policies),
+                mapping: state.mapping.clone(),
+                policies: state.policies.clone(),
+                estimate,
+                key,
+            });
         }
-        let refs: Vec<(&CopyMapping, &PolicyAssignment)> = miss_idx
-            .iter()
-            .map(|&i| (placed[i].as_ref().expect("misses are placed"), &candidates[i].1))
-            .collect();
-        evaluator.evaluate_batch(&refs)
-    });
-    for (&i, result) in miss_idx.iter().zip(results) {
-        out[i].1 = result.ok();
     }
-    // Phase 4: publish the scored results, completing this batch's
-    // reservations (`resolve` never overwrites a value another worker got
-    // there first with), then forward within-batch duplicates.
-    for &i in &miss_idx {
-        cache.resolve(out[i].0.clone(), out[i].1);
+    for (i, score) in scores.into_iter().enumerate() {
+        walker.set_score(i, score);
     }
-    for &(dup, src) in &dup_of {
-        out[dup].1 = out[src].1;
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftes_model::samples;
-    use ftes_model::Time;
+    use ftes_model::{samples, Mapping, Time};
+    use ftes_opt::{EngineKind, PolicyMoves, SearchConfig, Synthesized};
+    use ftes_tdma::Platform;
 
     #[test]
     fn indexed_parallel_preserves_order() {
@@ -283,40 +156,41 @@ mod tests {
                 .unwrap();
         let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
         let k = 2;
-        let candidates: Vec<(Mapping, PolicyAssignment)> = vec![
-            (mapping.clone(), PolicyAssignment::uniform_reexecution(&app, k)),
-            (mapping.clone(), PolicyAssignment::local_checkpointing(&app, k, 16).unwrap()),
-            (mapping.clone(), PolicyAssignment::uniform_reexecution(&app, k)),
-        ];
+        let initial = Synthesized::evaluate(
+            &app,
+            &platform,
+            mapping,
+            PolicyAssignment::uniform_reexecution(&app, k),
+            k,
+        )
+        .unwrap();
+        let config = SearchConfig { neighborhood: 24, seed: 3, ..SearchConfig::default() };
+        let mut evaluator = SystemEvaluator::new(&app, &platform, k);
         let cache = EstimateCache::new();
-        let pool = EvaluatorPool::new(&app, &platform, k, 4);
-        let batched = evaluate_batch(&pool, &cache, &candidates);
-        let mut fresh = ftes_sched::SystemEvaluator::new(&app, &platform, k);
-        for (result, (m, p)) in batched.iter().zip(&candidates) {
-            assert_eq!(*result, evaluate_state(&mut fresh, m, p));
-            assert!(result.is_some());
+        let mut archive = ParetoArchive::new();
+        let mut fresh = SystemEvaluator::new(&app, &platform, k);
+        let mut proposals = 0;
+        for round in 0..2 {
+            // The second round re-samples the same neighborhood from the
+            // same seed: every proposal hits the first round's entries.
+            let mut walker =
+                Walker::new(EngineKind::Tabu, &app, k, initial.clone(), PolicyMoves::Full, config);
+            walker.sample(&app, platform.architecture());
+            score_neighborhood(&mut walker, &mut evaluator, &cache, &mut archive);
+            assert!(!walker.proposals().is_empty());
+            for state in walker.proposals() {
+                let expected = fresh.evaluate(&state.copies, &state.policies).unwrap();
+                assert_eq!(state.estimate, expected, "round {round}");
+            }
+            proposals = walker.proposals().len() as u64;
         }
-        // Duplicate state in the batch: two distinct states cached.
-        assert_eq!(cache.stats().entries, 2);
-        // Pool counters account for exactly the cache misses (every miss is
-        // scored by the kernel, even the in-batch duplicate).
-        assert_eq!(pool.stats().evaluations(), cache.stats().misses);
-    }
-
-    #[test]
-    fn pool_constructs_slots_lazily_and_reuses_them() {
-        let (app, arch) = samples::fig3();
-        let node_count = arch.node_count();
-        let platform = Platform::homogeneous(node_count, Time::new(8)).unwrap();
-        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
-        let policies = PolicyAssignment::uniform_reexecution(&app, 1);
-        let pool = EvaluatorPool::new(&app, &platform, 1, 8);
-        for _ in 0..5 {
-            pool.with(0, |ev| evaluate_state(ev, &mapping, &policies)).unwrap();
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.constructions, 1, "only the touched slot is built");
-        assert_eq!(stats.full_evals, 5);
-        assert_eq!(stats.reused(), 4);
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 2 * proposals);
+        assert!(stats.hits >= proposals, "the repeated neighborhood is answered from the cache");
+        // The kernel scored the first neighborhood only (repeats of a key
+        // within it included); the second came from the cache.
+        assert_eq!(evaluator.stats().batch_candidates, proposals);
+        assert_eq!(evaluator.stats().batch_evals, 1);
+        assert!(!archive.is_empty());
     }
 }

@@ -6,15 +6,15 @@
 //!
 //! A portfolio run is a sequence of **rounds**. Within a round every worker
 //! advances independently — its trajectory depends only on its own seeded
-//! RNG, its engine (tabu / simulated annealing / greedy descent, reusing
-//! the move vocabulary `ftes-opt` exposes) and the round-start incumbent.
-//! Workers run on scoped threads and score each sampled neighborhood in
-//! one pass through the [batched evaluator](crate::evaluate_batch) — the
-//! shared [`EstimateCache`] is probed first, only misses reach the warm
-//! kernel. At the round barrier the per-worker archives merge
-//! (order-independent, see [`ParetoArchive`]), the global incumbent is
-//! recomputed with a canonical tie-break, and workers whose current state
-//! is worse than the incumbent adopt it.
+//! RNG, its engine and the round-start incumbent. A worker is the serial
+//! search of `ftes-opt` ([`Walker`]), driven round by round with its own
+//! evaluator kernel and (certify-guided) its own certifier; only the
+//! scoring differs: the shared [`EstimateCache`] is probed per proposal and
+//! only the misses reach the worker's kernel, in one batch pass. Workers
+//! run on scoped threads. At the round barrier the per-worker archives
+//! merge (order-independent, see [`ParetoArchive`]), the global incumbent
+//! is recomputed with a canonical tie-break, and workers whose current
+//! state is worse than the incumbent adopt it.
 //!
 //! ## Determinism
 //!
@@ -28,17 +28,15 @@
 
 use crate::archive::{ArchiveEntry, ParetoArchive};
 use crate::cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, StateKey};
-use crate::pool::{evaluate_batch_keyed, evaluate_state, indexed_parallel, EvaluatorPool};
+use crate::pool::{indexed_parallel, score_neighborhood};
 use ftes_ft::PolicyAssignment;
-use ftes_ftcpg::CopyMapping;
-use ftes_model::{Application, Architecture, FaultModel, Mapping, Time, Transparency};
+use ftes_model::{Application, FaultModel, Time, Transparency};
 use ftes_opt::{
-    apply_move, constructive_mapping, MoveVocabulary, OptError, PolicyMoves, Synthesized,
+    certify_admits, constructive_mapping, EngineKind, OptError, PolicyMoves, SearchConfig,
+    Synthesized, Walker,
 };
-use ftes_sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, EvaluatorStats};
+use ftes_sched::{Certifier, CertifyConfig, EvaluatorStats, SystemEvaluator};
 use ftes_tdma::Platform;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -74,28 +72,6 @@ impl std::error::Error for ExploreError {
 impl From<OptError> for ExploreError {
     fn from(e: OptError) -> Self {
         ExploreError::Infeasible(e)
-    }
-}
-
-/// The metaheuristic a portfolio worker runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Tabu search (the paper's MXR engine) with per-worker tenure.
-    Tabu,
-    /// Simulated annealing with geometric cooling.
-    Anneal,
-    /// Greedy steepest descent (only improving moves).
-    Greedy,
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            EngineKind::Tabu => "tabu",
-            EngineKind::Anneal => "anneal",
-            EngineKind::Greedy => "greedy",
-        };
-        write!(f, "{s}")
     }
 }
 
@@ -187,7 +163,7 @@ pub struct Exploration {
     /// Estimate-cache counters for the whole run.
     pub cache: CacheStats,
     /// Evaluator-kernel counters (constructions, full/delta evaluations,
-    /// reuse) aggregated over the per-thread pool.
+    /// reuse) aggregated over the workers' kernels.
     pub evals: EvaluatorStats,
     /// Certify-guided admit-cache counters (all zero when
     /// [`PortfolioConfig::certify_guided`] is off). Deterministic for any
@@ -195,103 +171,63 @@ pub struct Exploration {
     pub certify: CacheStats,
 }
 
-/// A worker's private search state between rounds.
+/// A worker's private search state between rounds: the walk, the warm
+/// kernel that scores its cache misses and, certify-guided, its
+/// incremental certifier (anchors and subtree memos stay warm across
+/// rounds).
 struct Worker {
-    spec: WorkerSpec,
-    rng: ChaCha8Rng,
-    current: Candidate,
-    best: Candidate,
-    tabu_until: Vec<usize>,
-    iteration: usize,
-    temperature: f64,
+    walker: Walker,
+    evaluator: SystemEvaluator,
+    certifier: Option<Certifier>,
 }
 
-/// A candidate state plus its evaluation (always feasible by construction).
-#[derive(Clone)]
-struct Candidate {
-    mapping: Mapping,
-    policies: PolicyAssignment,
-    estimate: ftes_sched::Estimate,
-    key: StateKey,
-}
-
-impl Candidate {
-    fn new(mapping: Mapping, policies: PolicyAssignment, estimate: ftes_sched::Estimate) -> Self {
-        let key = StateKey::encode(&mapping, &policies);
-        Candidate { mapping, policies, estimate, key }
-    }
-
-    /// Search objective: worst case, fault-free tie-break — the serial
-    /// searches' rule, so ties keep the first candidate in sample order.
-    fn objective(&self) -> (Time, Time) {
-        (self.estimate.worst_case_length, self.estimate.fault_free_length)
-    }
-
-    /// Barrier rank: the objective, then the canonical key, so the
-    /// incumbent never depends on which worker found it.
-    fn rank(&self) -> (Time, Time, &StateKey) {
-        (self.estimate.worst_case_length, self.estimate.fault_free_length, &self.key)
-    }
-}
-
-/// The certify-guided admission gate of one worker: an incremental
-/// [`Certifier`] (anchored FT-CPG rebuilds + subtree memo, unbudgeted so
-/// verdicts are pure facts of the state) behind the shared admit cache.
-struct Guard<'a> {
-    certifier: &'a mut Certifier,
-    cache: &'a CertifyCache,
-    app: &'a Application,
-    arch: &'a Architecture,
-    deadline: Time,
-}
-
-impl Guard<'_> {
-    /// Whether `candidate` may become a worker's best. Demotes (returns
-    /// `false`) only on explicit negative exact evidence: a bounded run
-    /// that pruned past the deadline, or an exact schedule that misses it.
-    fn admits(&mut self, candidate: &Candidate) -> bool {
-        // The estimate already prices the candidate past the deadline:
-        // certifying cannot improve the verdict the ranking gives it, so
-        // admit untested (mirrors the repair-loop guard in `ftes-opt`).
-        if candidate.estimate.worst_case_length > self.deadline {
-            return true;
-        }
-        match self.cache.probe_or_reserve(&candidate.key) {
-            CertifyProbe::Ready(admit) => admit,
-            CertifyProbe::Pending | CertifyProbe::Reserved => {
-                let admit = self.certify(candidate);
-                self.cache.resolve(candidate.key.clone(), admit);
-                admit
+impl Worker {
+    /// Advances the walk by `iterations` steps, returning the round's
+    /// archive of every feasible proposal.
+    fn run_round(
+        &mut self,
+        iterations: usize,
+        cache: &EstimateCache,
+        certify_cache: &CertifyCache,
+    ) -> Result<ParetoArchive, ExploreError> {
+        let mut archive = ParetoArchive::new();
+        let deadline = self.evaluator.app().deadline();
+        for _ in 0..iterations {
+            self.walker.sample(self.evaluator.app(), self.evaluator.platform().architecture());
+            score_neighborhood(&mut self.walker, &mut self.evaluator, cache, &mut archive);
+            let moved = match self.certifier.as_mut() {
+                // Verdicts are shared through the admit cache. A hard
+                // certification failure degrades to the estimate-only
+                // regime (admit) rather than aborting the search.
+                Some(certifier) => self.walker.accept(Some(&mut |candidate: &Synthesized| {
+                    let key = StateKey::encode(&candidate.mapping, &candidate.policies);
+                    Ok(match certify_cache.probe_or_reserve(&key) {
+                        CertifyProbe::Ready(admit) => admit,
+                        CertifyProbe::Pending | CertifyProbe::Reserved => {
+                            let admit =
+                                certify_admits(certifier, deadline, candidate).unwrap_or(true);
+                            certify_cache.resolve(key, admit);
+                            admit
+                        }
+                    })
+                }))?,
+                None => self.walker.accept(None)?,
+            };
+            if moved {
+                // Re-anchor the delta base at the accepted state.
+                let current = self.walker.current();
+                let _ = self.evaluator.evaluate(&current.copies, &current.policies);
             }
         }
+        Ok(archive)
     }
+}
 
-    fn certify(&mut self, candidate: &Candidate) -> bool {
-        let copies = match CopyMapping::from_base(
-            self.app,
-            self.arch,
-            &candidate.mapping,
-            &candidate.policies,
-        ) {
-            Ok(copies) => copies,
-            // Candidates reached here evaluated feasible; a placement
-            // failure means no exact evidence either way — admit.
-            Err(_) => return true,
-        };
-        match self.certifier.certify_bounded(&copies, &candidate.policies, self.deadline) {
-            Ok(BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met })) => {
-                self.certifier.record_estimate(exact_len, candidate.estimate.worst_case_length);
-                deadline_met
-            }
-            // Estimate-only regime (FT-CPG over the size budget): no exact
-            // evidence — admit, exactly like the post-hoc walk would.
-            Ok(BoundedCert::Verdict(CertOutcome::OverBudget)) => true,
-            Ok(BoundedCert::Pruned { .. }) => false,
-            // Hard construction/scheduling failures degrade to the
-            // estimate-only regime rather than aborting the search.
-            Err(_) => true,
-        }
-    }
+/// Barrier rank of a state: the search objective, then the canonical key,
+/// so the incumbent never depends on which worker found it.
+fn rank(state: &Synthesized) -> (Time, Time, StateKey) {
+    let (worst, fault_free) = state.objective();
+    (worst, fault_free, StateKey::encode(&state.mapping, &state.policies))
 }
 
 /// Runs the parallel portfolio exploration.
@@ -318,24 +254,30 @@ pub fn explore(
     let initial_mapping = constructive_mapping(app, platform.architecture())
         .map_err(|e| ExploreError::Infeasible(OptError::from(e)))?;
     let initial_policies = PolicyAssignment::uniform_reexecution(app, k);
-    // One warm evaluator kernel per evaluation thread for the whole run.
-    let pool = EvaluatorPool::new(app, platform, k, config.threads.max(1));
-    let initial_estimate = pool
-        .with(0, |ev| evaluate_state(ev, &initial_mapping, &initial_policies))
-        .ok_or_else(|| {
+    // The kernel that scores the initial state becomes the first worker's.
+    let mut first_kernel = SystemEvaluator::new(app, platform, k);
+    let initial = Synthesized::evaluate_with(&mut first_kernel, initial_mapping, initial_policies)
+        .map_err(|_| {
             ExploreError::Infeasible(OptError::NoFeasibleConfiguration(
                 "initial re-execution configuration is infeasible".into(),
             ))
         })?;
-    let initial = Candidate::new(initial_mapping, initial_policies, initial_estimate);
 
     let cache = EstimateCache::new();
     // Seed the cache with the initial state so workers hit it immediately.
-    cache.get_or_compute(initial.key.clone(), || Some(initial.estimate));
+    cache.get_or_compute(StateKey::encode(&initial.mapping, &initial.policies), || {
+        Some(initial.estimate)
+    });
 
     let worker_count = config.workers.len();
     let worker_threads = config.threads.clamp(1, worker_count);
 
+    // Certify-guided mode: one incremental certifier per worker, one shared
+    // admit cache. The work budget is unlimited on purpose — a budget would
+    // make verdicts depend on which worker certified first, breaking the
+    // thread-count determinism contract.
+    let certify_cache = CertifyCache::new();
+    let mut first_kernel = Some(first_kernel);
     let workers: Vec<Mutex<Worker>> = config
         .workers
         .iter()
@@ -348,20 +290,43 @@ pub fn explore(
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(spec.seed_offset)
                 .wrapping_add((i as u64) << 32);
+            let search = SearchConfig {
+                iterations: config.rounds * config.iterations_per_round,
+                tenure: spec.tenure,
+                neighborhood: spec.neighborhood,
+                max_checkpoints: config.max_checkpoints,
+                seed,
+                calibration_milli: 1000,
+            };
+            // Every kernel's delta base is anchored at the starting state.
+            let evaluator = first_kernel.take().unwrap_or_else(|| {
+                let mut evaluator = SystemEvaluator::new(app, platform, k);
+                let _ = evaluator.evaluate(&initial.copies, &initial.policies);
+                evaluator
+            });
+            let certifier = config.certify_guided.then(|| {
+                Certifier::new(
+                    app,
+                    platform,
+                    FaultModel::new(k),
+                    &Transparency::none(),
+                    CertifyConfig { max_exact_runs: u64::MAX, ..CertifyConfig::default() },
+                )
+            });
             Mutex::new(Worker {
-                spec: *spec,
-                rng: ChaCha8Rng::seed_from_u64(seed),
-                current: initial.clone(),
-                best: initial.clone(),
-                tabu_until: vec![0; app.process_count()],
-                iteration: 0,
-                temperature: (initial.estimate.worst_case_length.as_f64() * 0.05).max(1.0),
+                walker: Walker::new(
+                    spec.engine,
+                    app,
+                    k,
+                    initial.clone(),
+                    PolicyMoves::Full,
+                    search,
+                ),
+                evaluator,
+                certifier,
             })
         })
         .collect();
-
-    // Every worker draws from one move vocabulary, precomputed once.
-    let vocabulary = MoveVocabulary::new(app, k, PolicyMoves::Full, config.max_checkpoints);
 
     let mut archive = ParetoArchive::new();
     archive.insert(ArchiveEntry::new(
@@ -370,249 +335,53 @@ pub fn explore(
         initial.estimate,
     ));
 
-    // Certify-guided mode: one incremental certifier per worker (anchors
-    // and subtree memos are worker-local and stay warm across rounds), one
-    // shared admit cache. The work budget is unlimited on purpose — a
-    // budget would make verdicts depend on which worker certified first,
-    // breaking the thread-count determinism contract.
-    let certify_cache = CertifyCache::new();
-    let certifiers: Option<Vec<Mutex<Certifier>>> = config.certify_guided.then(|| {
-        (0..worker_count)
-            .map(|_| {
-                Mutex::new(Certifier::new(
-                    app,
-                    platform,
-                    FaultModel::new(k),
-                    &Transparency::none(),
-                    CertifyConfig { max_exact_runs: u64::MAX, ..CertifyConfig::default() },
-                ))
-            })
-            .collect()
-    });
-
     for _ in 0..config.rounds {
         // Workers advance in parallel; each returns its round archive.
-        let round_archives: Vec<ParetoArchive> =
-            indexed_parallel(worker_count, worker_threads, |thread, i| {
-                let mut worker = workers[i].lock().expect("worker state poisoned");
-                let mut certifier = certifiers
-                    .as_ref()
-                    .map(|slots| slots[i].lock().expect("worker certifier poisoned"));
-                let guard = certifier.as_mut().map(|certifier| Guard {
-                    certifier,
-                    cache: &certify_cache,
-                    app,
-                    arch: platform.architecture(),
-                    deadline: app.deadline(),
-                });
-                run_round(
-                    app,
-                    platform,
-                    config,
-                    &vocabulary,
-                    &cache,
-                    &pool,
-                    thread,
-                    &mut worker,
-                    guard,
-                )
-            });
+        let round_archives = indexed_parallel(worker_count, worker_threads, |_, i| {
+            workers[i].lock().expect("worker state poisoned").run_round(
+                config.iterations_per_round,
+                &cache,
+                &certify_cache,
+            )
+        });
         for local in round_archives {
-            archive.merge(local);
+            archive.merge(local?);
         }
         // Barrier: recompute the incumbent with a canonical tie-break and
         // broadcast it to workers that fell behind.
-        let incumbent = workers
+        let ranks: Vec<_> = workers
             .iter()
-            .map(|w| w.lock().expect("worker state poisoned").best.clone())
-            .min_by(|a, b| a.rank().cmp(&b.rank()))
-            .expect("portfolio is non-empty");
+            .map(|w| rank(w.lock().expect("worker state poisoned").walker.best()))
+            .collect();
+        let leader = (0..worker_count).min_by(|&a, &b| ranks[a].cmp(&ranks[b])).unwrap_or(0);
+        let incumbent =
+            workers[leader].lock().expect("worker state poisoned").walker.best().clone();
+        let incumbent_rank = &ranks[leader];
         for slot in &workers {
             let mut worker = slot.lock().expect("worker state poisoned");
-            if incumbent.rank() < worker.best.rank() {
-                worker.best = incumbent.clone();
+            if *incumbent_rank < rank(worker.walker.best()) {
+                worker.walker.set_best(&incumbent);
             }
-            if incumbent.rank() < worker.current.rank() {
-                worker.current = incumbent.clone();
-            }
-        }
-    }
-
-    let best = workers
-        .into_iter()
-        .map(|w| w.into_inner().expect("worker state poisoned").best)
-        .min_by(|a, b| a.rank().cmp(&b.rank()))
-        .expect("portfolio is non-empty");
-    // Rebuild the full synthesized configuration (replica placement) for
-    // the winner; its feasibility was established when it was evaluated.
-    let best = pool.with(0, |ev| Synthesized::evaluate_with(ev, best.mapping, best.policies))?;
-
-    Ok(Exploration {
-        best,
-        archive,
-        cache: cache.stats(),
-        evals: pool.stats(),
-        certify: certify_cache.stats(),
-    })
-}
-
-/// Advances one worker by `iterations_per_round` batched iterations.
-/// `thread` is the worker's scoped-thread slot, passed through as the
-/// preferred evaluator-pool slot so concurrent workers keep their own warm
-/// kernel.
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    app: &Application,
-    platform: &Platform,
-    config: &PortfolioConfig,
-    vocabulary: &MoveVocabulary,
-    cache: &EstimateCache,
-    pool: &EvaluatorPool,
-    thread: usize,
-    worker: &mut Worker,
-    mut guard: Option<Guard<'_>>,
-) -> ParetoArchive {
-    let arch = platform.architecture();
-    let mut local_archive = ParetoArchive::new();
-
-    for _ in 0..config.iterations_per_round {
-        // 1. Sample the whole neighborhood without evaluating.
-        let mut moves = Vec::with_capacity(worker.spec.neighborhood);
-        for _ in 0..worker.spec.neighborhood {
-            if let Some(mv) = vocabulary.sample(
-                &worker.current.mapping,
-                &worker.current.policies,
-                &mut worker.rng,
-            ) {
-                moves.push(mv);
+            if *incumbent_rank < rank(worker.walker.current()) {
+                worker.walker.set_current(&incumbent);
             }
         }
-        let mut move_idxs = Vec::with_capacity(moves.len());
-        let mut batch: Vec<(Mapping, PolicyAssignment)> = Vec::with_capacity(moves.len());
-        for (i, mv) in moves.iter().enumerate() {
-            if let Some(state) =
-                apply_move(app, arch, &worker.current.mapping, &worker.current.policies, mv)
-            {
-                move_idxs.push(i);
-                batch.push(state);
-            }
-        }
-
-        // 2. One cache-backed kernel batch pass for the whole neighborhood,
-        // anchored at the worker's current state; keys come back alongside
-        // so candidates need no re-encoding.
-        let anchor = (&worker.current.mapping, &worker.current.policies);
-        let keyed = evaluate_batch_keyed(pool, cache, Some(anchor), &batch, thread);
-
-        // 3. Feasible candidates, in sample order.
-        let mut candidates: Vec<(usize, Candidate)> = Vec::with_capacity(batch.len());
-        for ((move_idx, (mapping, policies)), (key, estimate)) in
-            move_idxs.into_iter().zip(batch).zip(keyed)
-        {
-            if let Some(estimate) = estimate {
-                let candidate = Candidate { mapping, policies, estimate, key };
-                local_archive.insert(ArchiveEntry::new(
-                    candidate.mapping.clone(),
-                    candidate.policies.clone(),
-                    candidate.estimate,
-                ));
-                candidates.push((move_idx, candidate));
-            }
-        }
-
-        // 4. Engine-specific acceptance.
-        match worker.spec.engine {
-            EngineKind::Tabu => accept_tabu(worker, &mut guard, &moves, candidates),
-            EngineKind::Greedy => accept_greedy(worker, &mut guard, candidates),
-            EngineKind::Anneal => accept_anneal(worker, &mut guard, candidates),
-        }
-        worker.iteration += 1;
     }
-    local_archive
-}
 
-/// Promotes `candidate` to the worker's best if it wins the objective and —
-/// in certify-guided mode — survives the exact admission gate. A demoted
-/// candidate still becomes `current` in the accept functions (the search
-/// walks through it), it just can never be reported as an incumbent.
-fn touch_best(worker: &mut Worker, guard: &mut Option<Guard<'_>>, candidate: &Candidate) {
-    if candidate.objective() < worker.best.objective() {
-        if let Some(guard) = guard.as_mut() {
-            if !guard.admits(candidate) {
-                return;
-            }
-        }
-        worker.best = candidate.clone();
-    }
-}
-
-fn accept_tabu(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    moves: &[ftes_opt::CandidateMove],
-    candidates: Vec<(usize, Candidate)>,
-) {
-    let iteration = worker.iteration;
-    let mut chosen: Option<(usize, Candidate)> = None;
-    for (move_idx, candidate) in candidates {
-        let process = moves[move_idx].process();
-        let aspiration = candidate.objective() < worker.best.objective();
-        if worker.tabu_until[process.index()] > iteration && !aspiration {
-            continue;
-        }
-        let better =
-            chosen.as_ref().map(|(_, c)| candidate.objective() < c.objective()).unwrap_or(true);
-        if better {
-            chosen = Some((move_idx, candidate));
+    let mut evals = EvaluatorStats::default();
+    let mut best: Option<((Time, Time, StateKey), Synthesized)> = None;
+    for slot in workers {
+        let worker = slot.into_inner().expect("worker state poisoned");
+        evals = evals.merged(worker.evaluator.stats());
+        let candidate = worker.walker.into_best();
+        let candidate_rank = rank(&candidate);
+        if best.as_ref().is_none_or(|(r, _)| candidate_rank < *r) {
+            best = Some((candidate_rank, candidate));
         }
     }
-    if let Some((move_idx, next)) = chosen {
-        worker.tabu_until[moves[move_idx].process().index()] = iteration + worker.spec.tenure;
-        touch_best(worker, guard, &next);
-        worker.current = next;
-    }
-}
+    let (_, best) = best.expect("portfolio is non-empty");
 
-fn accept_greedy(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(usize, Candidate)>,
-) {
-    // Same rule as the serial `greedy_descent`: take the best sampled move,
-    // and only if it strictly improves the current state.
-    let mut best_move: Option<Candidate> = None;
-    for (_, candidate) in candidates {
-        let improves = match &best_move {
-            Some(best) => candidate.objective() < best.objective(),
-            None => candidate.objective() < worker.current.objective(),
-        };
-        if improves {
-            best_move = Some(candidate);
-        }
-    }
-    if let Some(next) = best_move {
-        touch_best(worker, guard, &next);
-        worker.current = next;
-    }
-}
-
-fn accept_anneal(
-    worker: &mut Worker,
-    guard: &mut Option<Guard<'_>>,
-    candidates: Vec<(usize, Candidate)>,
-) {
-    for (_, candidate) in candidates {
-        let delta = (candidate.estimate.worst_case_length
-            - worker.current.estimate.worst_case_length)
-            .as_f64();
-        let accept =
-            delta <= 0.0 || worker.rng.gen_bool((-delta / worker.temperature).exp().min(1.0));
-        if accept {
-            touch_best(worker, guard, &candidate);
-            worker.current = candidate;
-        }
-    }
-    worker.temperature = (worker.temperature * 0.95).max(1e-3);
+    Ok(Exploration { best, archive, cache: cache.stats(), evals, certify: certify_cache.stats() })
 }
 
 #[cfg(test)]

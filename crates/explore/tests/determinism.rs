@@ -7,11 +7,12 @@
 //!    computed ones on every state the exploration visits.
 
 use ftes_explore::{
-    evaluate_state, explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache,
-    PortfolioConfig, ScenarioPoint, StateKey, SuiteConfig,
+    explore, paper_grid, run_suite, suite_to_csv, suite_to_json, EstimateCache, PortfolioConfig,
+    ScenarioPoint, StateKey, SuiteConfig,
 };
 use ftes_gen::{generate_application, GeneratorConfig};
 use ftes_model::Time;
+use ftes_opt::Synthesized;
 use ftes_sched::SystemEvaluator;
 use ftes_tdma::Platform;
 
@@ -117,9 +118,13 @@ fn cached_estimates_match_fresh_computation() {
 
     // Every archived state's estimate must equal a from-scratch evaluation.
     for entry in result.archive.entries() {
-        let fresh = evaluate_state(&mut evaluator, &entry.mapping, &entry.policies)
-            .expect("archived states are feasible");
-        assert_eq!(entry.estimate, fresh, "cache must never distort an estimate");
+        let fresh = Synthesized::evaluate_with(
+            &mut evaluator,
+            entry.mapping.clone(),
+            entry.policies.clone(),
+        )
+        .expect("archived states are feasible");
+        assert_eq!(entry.estimate, fresh.estimate, "cache must never distort an estimate");
     }
 
     // And the cache itself is transparent: compute-through equals bypass.
@@ -127,7 +132,13 @@ fn cached_estimates_match_fresh_computation() {
     for entry in result.archive.entries() {
         let key = StateKey::encode(&entry.mapping, &entry.policies);
         let through = cache.get_or_compute(key.clone(), || {
-            evaluate_state(&mut evaluator, &entry.mapping, &entry.policies)
+            Synthesized::evaluate_with(
+                &mut evaluator,
+                entry.mapping.clone(),
+                entry.policies.clone(),
+            )
+            .ok()
+            .map(|state| state.estimate)
         });
         let again = cache.get_or_compute(key, || panic!("second lookup must hit"));
         assert_eq!(through, again);

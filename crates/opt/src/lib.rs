@@ -11,7 +11,10 @@
 //!   strawmen;
 //! * [`compare_checkpointing`] — the Fig. 8 comparison: global checkpoint
 //!   optimization \[15\] vs the per-process local optimum of \[27\];
-//! * [`tabu_search`] — the underlying search engine.
+//! * [`search`] — the underlying search engine: one [`Walker`] step
+//!   shared by tabu search, greedy descent and simulated annealing
+//!   ([`EngineKind`]), serially here and as portfolio workers in
+//!   `ftes-explore`.
 //!
 //! ```
 //! use ftes_gen::{generate_application, GeneratorConfig};
@@ -32,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod anneal;
 mod bus;
 mod checkpoint;
 mod constructive;
@@ -41,7 +43,6 @@ mod repair;
 mod search;
 mod strategy;
 
-pub use anneal::{greedy_descent, simulated_annealing, SearchTrace};
 pub use bus::{optimize_bus, BusOptConfig, OptimizedBus};
 pub use checkpoint::{
     checkpointing_local, compare_checkpointing, fault_tolerance_overhead,
@@ -50,12 +51,11 @@ pub use checkpoint::{
 pub use constructive::constructive_mapping;
 pub use error::OptError;
 pub use repair::{
-    observed_calibration, synthesize_certified, synthesize_certified_mode, CertifiedSynthesis,
-    CertifyMode, RepairConfig,
+    certify_admits, observed_calibration, synthesize_certified, synthesize_certified_mode,
+    CertifiedSynthesis, CertifyMode, RepairConfig,
 };
 pub use search::{
-    apply_move, candidate_policies, sample_move, tabu_search, tabu_search_guarded_with,
-    tabu_search_traced, tabu_search_traced_with, tabu_search_with, BestGuard, CandidateMove,
-    MoveVocabulary, PolicyMoves, SearchConfig, Synthesized,
+    candidate_policies, sample_move, search, BestGuard, CandidateMove, EngineKind, MoveVocabulary,
+    PolicyMoves, SearchConfig, Synthesized, Walker,
 };
 pub use strategy::{synthesize, synthesize_with, Strategy};

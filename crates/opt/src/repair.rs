@@ -26,11 +26,13 @@
 //! no exact schedule to certify against, and the outcome says so.
 
 use crate::{
-    synthesize_with, tabu_search_guarded_with, OptError, PolicyMoves, SearchConfig, Strategy,
-    Synthesized,
+    search, synthesize_with, EngineKind, OptError, PolicyMoves, SearchConfig, Strategy, Synthesized,
 };
 use ftes_ft::PolicyAssignment;
-use ftes_sched::{calibration_milli, BoundedCert, CertOutcome, Certifier, SystemEvaluator};
+use ftes_model::Time;
+use ftes_sched::{
+    calibration_milli, BoundedCert, CertOutcome, Certifier, CertifyError, SystemEvaluator,
+};
 
 /// Tunables of the certify-and-repair loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,50 +209,57 @@ pub fn synthesize_certified_mode(
         evaluator.evaluate(&incumbent.copies, &incumbent.policies)?;
         incumbent = match mode {
             CertifyMode::PostHoc => {
-                crate::tabu_search_with(evaluator, incumbent, policy_moves, cfg)?
+                crate::search(evaluator, EngineKind::Tabu, incumbent, policy_moves, cfg, None)?
             }
             CertifyMode::Guided => {
                 let deadline = evaluator.app().deadline();
-                tabu_search_guarded_with(
+                crate::search(
                     evaluator,
+                    EngineKind::Tabu,
                     incumbent,
                     policy_moves,
                     cfg,
-                    &mut certify_guard(certifier, deadline),
+                    Some(&mut certify_guard(certifier, deadline)),
                 )?
-                .0
             }
         };
     }
 }
 
-/// The certify-guided admission guard: candidates whose estimate already
-/// misses the deadline are admitted untested (they rank exactly as the
-/// estimator says; an exact run buys nothing), candidates that *look*
-/// schedulable are incrementally certified against the deadline as an
-/// upper bound — a pruned refutation or an exact deadline miss demotes
-/// them during the search. `OverBudget` (size or work budget) admits: in
-/// the estimate-only regime the guided search degrades to the classic one.
+/// The certify-guided admission check of every search (serial guided
+/// searches and the portfolio workers of `ftes-explore`): the candidate is
+/// incrementally certified against the deadline as an upper bound, and a
+/// pruned refutation or an exact deadline miss demotes it. `OverBudget`
+/// (size or work budget) admits: in the estimate-only regime a guided
+/// search degrades to the classic one. The search consults the check only
+/// for candidates whose estimate meets the deadline (see
+/// [`BestGuard`](crate::BestGuard)).
+///
+/// # Errors
+///
+/// Hard construction or scheduling failures of the certifier.
+pub fn certify_admits(
+    certifier: &mut Certifier,
+    deadline: Time,
+    candidate: &Synthesized,
+) -> Result<bool, CertifyError> {
+    Ok(match certifier.certify_bounded(&candidate.copies, &candidate.policies, deadline)? {
+        BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met }) => {
+            certifier.record_estimate(exact_len, candidate.estimate.worst_case_length);
+            deadline_met
+        }
+        BoundedCert::Verdict(CertOutcome::OverBudget) => true,
+        BoundedCert::Pruned { .. } => false,
+    })
+}
+
+/// [`certify_admits`] as a serial search's gate: hard certification
+/// failures abort the search.
 fn certify_guard(
     certifier: &mut Certifier,
-    deadline: ftes_model::Time,
+    deadline: Time,
 ) -> impl FnMut(&Synthesized) -> Result<bool, OptError> + '_ {
-    move |cand: &Synthesized| {
-        if cand.estimate.worst_case_length > deadline {
-            return Ok(true);
-        }
-        match certifier
-            .certify_bounded(&cand.copies, &cand.policies, deadline)
-            .map_err(certify_to_opt_error)?
-        {
-            BoundedCert::Verdict(CertOutcome::Exact { exact_len, deadline_met }) => {
-                certifier.record_estimate(exact_len, cand.estimate.worst_case_length);
-                Ok(deadline_met)
-            }
-            BoundedCert::Verdict(CertOutcome::OverBudget) => Ok(true),
-            BoundedCert::Pruned { .. } => Ok(false),
-        }
-    }
+    move |candidate| certify_admits(certifier, deadline, candidate).map_err(certify_to_opt_error)
 }
 
 /// The strategy dispatch of [`synthesize_with`], with the certify-guided
@@ -270,14 +279,14 @@ fn synthesize_guided_with(
     match strategy {
         Strategy::Mxr => {
             let mx = synthesize_with(evaluator, Strategy::Mx, config)?;
-            Ok(tabu_search_guarded_with(
+            search(
                 evaluator,
+                EngineKind::Tabu,
                 mx,
                 PolicyMoves::Full,
                 config,
-                &mut certify_guard(certifier, deadline),
-            )?
-            .0)
+                Some(&mut certify_guard(certifier, deadline)),
+            )
         }
         Strategy::Mx | Strategy::Mr => {
             let initial_mapping =
@@ -288,14 +297,14 @@ fn synthesize_guided_with(
                 PolicyAssignment::uniform_replication(evaluator.app(), k)
             };
             let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            Ok(tabu_search_guarded_with(
+            search(
                 evaluator,
+                EngineKind::Tabu,
                 initial,
                 PolicyMoves::None,
                 config,
-                &mut certify_guard(certifier, deadline),
-            )?
-            .0)
+                Some(&mut certify_guard(certifier, deadline)),
+            )
         }
         Strategy::Sfx => synthesize_with(evaluator, Strategy::Sfx, config),
     }

@@ -1,5 +1,6 @@
-//! Tabu-search engine over mapping and policy-assignment moves (the MXR
-//! optimization of \[13\], §6).
+//! The search engine over mapping and policy-assignment moves (the MXR
+//! optimization of \[13\], §6): tabu search, plus the greedy-descent and
+//! simulated-annealing rules the search ablation compares it with.
 //!
 //! A candidate state is a base mapping plus one policy per process; replicas
 //! are placed by [`CopyMapping::from_base`] and the state is evaluated with
@@ -9,16 +10,19 @@
 //! * **repolicy** — switch one process among its candidate policies
 //!   (re-execution, replication, replication+checkpointed original).
 //!
-//! Recently touched processes are tabu for `tenure` iterations unless a move
-//! beats the global best (aspiration).
+//! Under tabu search, recently touched processes are tabu for `tenure`
+//! iterations unless a move beats the global best (aspiration).
 //!
-//! One search step allocates nothing in steady state. The move vocabulary
-//! (candidate nodes and policies per process) is computed once per search
-//! ([`MoveVocabulary`]); neighbors are built in a reusable proposal pool by
-//! resetting a slot to the current state (`clone_from`, which shares every
-//! policy), applying the move in place and re-deriving the slot's copy
-//! placement in place ([`CopyMapping::rederive`]); the pool is scored as
-//! one slice by [`SystemEvaluator::evaluate_batch_into`]; and the winner is
+//! Every engine runs the same step ([`Walker`]): serial searches
+//! ([`search`]) and the portfolio workers of `ftes-explore` differ only in
+//! how they score a neighborhood. One step allocates nothing in steady
+//! state. The move vocabulary (candidate nodes and policies per process)
+//! is computed once per search ([`MoveVocabulary`]); neighbors are built in
+//! reusable proposal slots by resetting a slot to the current state
+//! (`clone_from`, which shares every policy), applying the move in place
+//! and re-deriving the slot's copy placement in place
+//! ([`CopyMapping::rederive`]); a serial search scores the slots as one
+//! slice by [`SystemEvaluator::evaluate_batch_into`]; and the winner is
 //! swapped into the current state, so only a displaced best is copied.
 
 use crate::OptError;
@@ -29,6 +33,7 @@ use ftes_sched::{BatchCandidate, Estimate, SchedError, SystemEvaluator};
 use ftes_tdma::Platform;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::fmt;
 
 /// Tunables of the tabu search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,283 +426,377 @@ pub fn sample_move(
     }
 }
 
-/// Applies a move to a `(mapping, policies)` state, returning the successor
-/// state or `None` when the move is infeasible (e.g. the remap violates a
-/// mapping restriction).
-pub fn apply_move(
-    app: &Application,
-    arch: &Architecture,
-    mapping: &Mapping,
-    policies: &PolicyAssignment,
-    mv: &CandidateMove,
-) -> Option<(Mapping, PolicyAssignment)> {
-    let (mut mapping, mut policies) = (mapping.clone(), policies.clone());
-    mv.apply_to(app, arch, &mut mapping, &mut policies).then_some((mapping, policies))
+/// The metaheuristic a search runs. All three share one step — sample a
+/// neighborhood, score it, accept — and differ only in the acceptance rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EngineKind {
+    /// Tabu search (the paper's MXR engine): take the best non-tabu move,
+    /// or a tabu one that beats the best so far (aspiration).
+    Tabu,
+    /// Simulated annealing: walk the neighborhood in sample order, taking
+    /// improving moves always and worsening ones with probability
+    /// `exp(−Δ/T)`, with geometric cooling.
+    Anneal,
+    /// Greedy steepest descent: take the best move, and only if it
+    /// improves the current state.
+    Greedy,
 }
 
-/// One sampled-and-applied neighbor of a search's current state, held in a
-/// [`ProposalPool`] slot.
-pub(crate) struct Proposal {
-    /// The process the originating move touches (tabu bookkeeping unit).
-    pub(crate) process: ProcessId,
-    /// The neighbor; its estimate is valid once the pool has scored it.
-    pub(crate) state: Synthesized,
-}
-
-impl BatchCandidate for Proposal {
-    fn copies(&self) -> &CopyMapping {
-        &self.state.copies
-    }
-
-    fn policies(&self) -> &PolicyAssignment {
-        &self.state.policies
+impl fmt::Display for EngineKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            EngineKind::Tabu => "tabu",
+            EngineKind::Anneal => "anneal",
+            EngineKind::Greedy => "greedy",
+        };
+        write!(f, "{s}")
     }
 }
 
-/// The neighborhood of a search, in slots reused across iterations — the
-/// sampling and scoring shared by the tabu search and the alternative
-/// engines in [`crate::greedy_descent`] / [`crate::simulated_annealing`].
-pub(crate) struct ProposalPool {
-    vocabulary: MoveVocabulary,
-    neighborhood: usize,
-    /// Slot storage; the first `len` slots hold the current neighborhood.
-    slots: Vec<Proposal>,
-    len: usize,
-    /// Scores of the first `len` slots, in slot order.
-    scores: Vec<Result<Estimate, SchedError>>,
-}
-
-impl ProposalPool {
-    /// An empty pool for searches of `config.neighborhood` moves over the
-    /// evaluator's problem instance.
-    pub(crate) fn new(
-        evaluator: &SystemEvaluator,
-        policy_moves: PolicyMoves,
-        config: SearchConfig,
-    ) -> Self {
-        let vocabulary = MoveVocabulary::new(
-            evaluator.app(),
-            evaluator.k(),
-            policy_moves,
-            config.max_checkpoints,
-        );
-        ProposalPool {
-            vocabulary,
-            neighborhood: config.neighborhood,
-            slots: Vec::with_capacity(config.neighborhood),
-            len: 0,
-            scores: Vec::with_capacity(config.neighborhood),
-        }
-    }
-
-    /// Samples a whole neighborhood of `current` — up to `neighborhood`
-    /// candidate moves — then scores it through one batch pass (the
-    /// kernel's base is the search's current state, so most candidates
-    /// re-schedule only a shared-prefix suffix).
-    ///
-    /// Degenerate samples (no-op moves, fixed or single-node processes),
-    /// infeasible applications and infeasible copy placements are skipped,
-    /// and the RNG stream is consumed exactly as the sequential proposal
-    /// loop did (scoring never draws from it). Candidates whose evaluation
-    /// fails (e.g. a policy the bus cannot carry) are left unscored:
-    /// [`ProposalPool::scored`] skips them.
-    pub(crate) fn sample_neighborhood(
-        &mut self,
-        evaluator: &mut SystemEvaluator,
-        current: &Synthesized,
-        rng: &mut ChaCha8Rng,
-    ) {
-        let app = evaluator.app();
-        let arch = evaluator.platform().architecture();
-        self.len = 0;
-        for _ in 0..self.neighborhood {
-            let Some(mv) = self.vocabulary.sample(&current.mapping, &current.policies, rng) else {
-                continue;
-            };
-            if self.len == self.slots.len() {
-                self.slots.push(Proposal { process: mv.process(), state: current.clone() });
-            }
-            let slot = &mut self.slots[self.len];
-            slot.process = mv.process();
-            slot.state.mapping.clone_from(&current.mapping);
-            slot.state.policies.clone_from(&current.policies);
-            if !mv.apply_to(app, arch, &mut slot.state.mapping, &mut slot.state.policies) {
-                continue;
-            }
-            // Infeasible copy placements are skipped rather than surfaced:
-            // the move is simply not available.
-            if slot
-                .state
-                .copies
-                .rederive(app, arch, &slot.state.mapping, &slot.state.policies)
-                .is_err()
-            {
-                continue;
-            }
-            self.len += 1;
-        }
-        evaluator.evaluate_batch_into(&self.slots[..self.len], &mut self.scores);
-        for (slot, score) in self.slots.iter_mut().zip(&self.scores) {
-            if let Ok(estimate) = score {
-                slot.state.estimate = *estimate;
-            }
-        }
-    }
-
-    /// Number of proposals in the current neighborhood (scored or not).
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Proposal `i` of the current neighborhood, in sample order, if its
-    /// evaluation succeeded.
-    pub(crate) fn scored(&self, i: usize) -> Option<&Proposal> {
-        self.scores[i].is_ok().then(|| &self.slots[i])
-    }
-
-    /// Makes proposal `i` the search's current state. The slot receives the
-    /// previous current state, which the next sample overwrites.
-    pub(crate) fn swap_into(&mut self, i: usize, current: &mut Synthesized) {
-        std::mem::swap(&mut self.slots[i].state, current);
-    }
-}
-
-/// Runs a tabu search from an initial state, minimizing the estimated
-/// worst-case schedule length.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search(
-    app: &Application,
-    platform: &Platform,
-    k: u32,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<Synthesized, OptError> {
-    Ok(tabu_search_traced(app, platform, k, initial, policy_moves, config)?.0)
-}
-
-/// [`tabu_search`] over a caller-provided evaluator kernel (one evaluator
-/// per search; the flow layer shares it across synthesis phases).
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_with(
-    evaluator: &mut SystemEvaluator,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<Synthesized, OptError> {
-    Ok(tabu_search_traced_with(evaluator, initial, policy_moves, config)?.0)
-}
-
-/// [`tabu_search`] with an objective trace (best worst-case length after
-/// each iteration), for the search ablation.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_traced(
-    app: &Application,
-    platform: &Platform,
-    k: u32,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
-    let mut evaluator = SystemEvaluator::new(app, platform, k);
-    tabu_search_traced_with(&mut evaluator, initial, policy_moves, config)
-}
-
-/// [`tabu_search_traced`] over a caller-provided evaluator kernel.
-///
-/// # Errors
-///
-/// Propagates evaluation errors; the initial state must be feasible.
-pub fn tabu_search_traced_with(
-    evaluator: &mut SystemEvaluator,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
-    config: SearchConfig,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
-    tabu_search_guarded_with(evaluator, initial, policy_moves, config, &mut |_| Ok(true))
-}
-
-/// Admission guard consulted before a candidate may displace the search's
+/// Admission gate consulted before a candidate may displace the search's
 /// best-so-far state — the certify-guided hook. `Ok(true)` admits the
 /// candidate as the new best; `Ok(false)` demotes it: the walk still
 /// continues from it (it stays the *current* state), but it can never be
-/// returned as the search's answer. The always-admit guard reproduces the
-/// unguarded search bit for bit.
-pub type BestGuard<'a> = &'a mut dyn FnMut(&Synthesized) -> Result<bool, OptError>;
+/// returned as the search's answer.
+///
+/// The gate sees only candidates whose estimate meets the deadline: one
+/// the estimate already prices past it ranks exactly as the estimator
+/// says, and exact evidence cannot change that, so it is admitted
+/// untested.
+pub type BestGuard<'a> = dyn FnMut(&Synthesized) -> Result<bool, OptError> + 'a;
 
-/// [`tabu_search_traced_with`] with an admission guard on best-so-far
-/// updates: certify-guided searches pass a guard that incrementally
-/// certifies the candidate against the deadline and demotes refuted states
-/// *during* the search instead of discovering them post hoc.
+impl BatchCandidate for Synthesized {
+    fn copies(&self) -> &CopyMapping {
+        &self.copies
+    }
+
+    fn policies(&self) -> &PolicyAssignment {
+        &self.policies
+    }
+}
+
+/// One search's walk through the move space: its RNG, current and best
+/// states, tabu tenures or annealing temperature, and a neighborhood of
+/// proposal slots reused across steps.
 ///
-/// # Errors
-///
-/// Propagates evaluation errors and guard failures; the initial state must
-/// be feasible.
-pub fn tabu_search_guarded_with(
-    evaluator: &mut SystemEvaluator,
-    initial: Synthesized,
-    policy_moves: PolicyMoves,
+/// A step has three parts. [`Walker::sample`] fills the slots with the
+/// neighbors of the current state; the caller scores them and records
+/// each score with [`Walker::set_score`]; [`Walker::accept`] applies the
+/// engine's rule, with an optional admission gate on best-so-far updates.
+/// [`Walker::step`] is the serial form, scoring the whole slot slice in one
+/// [`SystemEvaluator::evaluate_batch_into`] pass; the portfolio workers of
+/// `ftes-explore` score through a shared estimate cache instead.
+pub struct Walker {
+    engine: EngineKind,
     config: SearchConfig,
-    guard: BestGuard<'_>,
-) -> Result<(Synthesized, Vec<i64>), OptError> {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let n = evaluator.app().process_count();
-    let deadline = evaluator.app().deadline();
-    // Anchor the delta base at the search's starting state.
-    evaluator.evaluate(&initial.copies, &initial.policies)?;
-    let mut pool = ProposalPool::new(evaluator, policy_moves, config);
-    let mut current = initial.clone();
-    let mut best = initial;
-    let mut tabu_until = vec![0usize; n];
-    let mut trace = Vec::with_capacity(config.iterations);
+    deadline: Time,
+    rng: ChaCha8Rng,
+    vocabulary: MoveVocabulary,
+    /// Slot storage; the first `len` slots hold the current neighborhood.
+    slots: Vec<Synthesized>,
+    /// The process each slot's move touches (the tabu bookkeeping unit).
+    moved: Vec<ProcessId>,
+    /// Whether each slot's evaluation succeeded.
+    scored: Vec<bool>,
+    len: usize,
+    /// Kernel results of [`Walker::step`], reused across steps.
+    batch: Vec<Result<Estimate, SchedError>>,
+    current: Synthesized,
+    best: Synthesized,
+    tabu_until: Vec<usize>,
+    iteration: usize,
+    temperature: f64,
+}
 
-    for iter in 0..config.iterations {
-        // Sample the whole neighborhood, then score it in one batch pass.
-        pool.sample_neighborhood(evaluator, &current, &mut rng);
-        let best_objective = config.calibrated_objective(&best, deadline);
-        let mut best_move: Option<(usize, ProcessId, (bool, Time, Time))> = None;
-        for i in 0..pool.len() {
-            let Some(proposal) = pool.scored(i) else { continue };
-            let objective = config.calibrated_objective(&proposal.state, deadline);
-            let aspiration = objective < best_objective;
-            if tabu_until[proposal.process.index()] > iter && !aspiration {
+impl Walker {
+    /// A walk from `initial` over `app` under fault budget `k`, drawing
+    /// `config.neighborhood` moves per step from `config.seed`.
+    pub fn new(
+        engine: EngineKind,
+        app: &Application,
+        k: u32,
+        initial: Synthesized,
+        policy_moves: PolicyMoves,
+        config: SearchConfig,
+    ) -> Self {
+        Walker {
+            engine,
+            config,
+            deadline: app.deadline(),
+            rng: ChaCha8Rng::seed_from_u64(config.seed),
+            vocabulary: MoveVocabulary::new(app, k, policy_moves, config.max_checkpoints),
+            slots: Vec::with_capacity(config.neighborhood),
+            moved: Vec::with_capacity(config.neighborhood),
+            scored: Vec::with_capacity(config.neighborhood),
+            len: 0,
+            batch: Vec::with_capacity(config.neighborhood),
+            current: initial.clone(),
+            tabu_until: vec![0; app.process_count()],
+            iteration: 0,
+            // Initial temperature: 5% of the initial objective; floor of 1.
+            temperature: (initial.estimate.worst_case_length.as_f64() * 0.05).max(1.0),
+            best: initial,
+        }
+    }
+
+    /// Samples the neighborhood of the current state — up to
+    /// `neighborhood` candidate moves — into the proposal slots, unscored.
+    ///
+    /// Degenerate samples (no-op moves, fixed or single-node processes),
+    /// infeasible applications and infeasible copy placements are skipped:
+    /// the move is simply not available. Each slot is reset to the current
+    /// state (`clone_from`, which shares every policy), moved in place and
+    /// re-derived in place, so a step allocates nothing once the slots
+    /// exist.
+    pub fn sample(&mut self, app: &Application, arch: &Architecture) {
+        self.len = 0;
+        for _ in 0..self.config.neighborhood {
+            let Some(mv) = self.vocabulary.sample(
+                &self.current.mapping,
+                &self.current.policies,
+                &mut self.rng,
+            ) else {
+                continue;
+            };
+            if self.len == self.slots.len() {
+                self.slots.push(self.current.clone());
+                self.moved.push(mv.process());
+                self.scored.push(false);
+            }
+            let slot = &mut self.slots[self.len];
+            slot.mapping.clone_from(&self.current.mapping);
+            slot.policies.clone_from(&self.current.policies);
+            if !mv.apply_to(app, arch, &mut slot.mapping, &mut slot.policies)
+                || slot.copies.rederive(app, arch, &slot.mapping, &slot.policies).is_err()
+            {
                 continue;
             }
-            if best_move.is_none_or(|(_, _, chosen)| objective < chosen) {
-                best_move = Some((i, proposal.process, objective));
+            self.moved[self.len] = mv.process();
+            self.scored[self.len] = false;
+            self.len += 1;
+        }
+    }
+
+    /// The sampled neighborhood, in sample order.
+    pub fn proposals(&self) -> &[Synthesized] {
+        &self.slots[..self.len]
+    }
+
+    /// Records the score of proposal `i`: its estimate, or `None` when its
+    /// evaluation failed (e.g. a policy the bus cannot carry), which makes
+    /// the move unavailable.
+    pub fn set_score(&mut self, i: usize, score: Option<Estimate>) {
+        if let Some(estimate) = score {
+            self.slots[i].estimate = estimate;
+        }
+        self.scored[i] = score.is_some();
+    }
+
+    /// Applies the engine's acceptance rule to the scored neighborhood.
+    /// Returns whether the current state moved; a caller whose evaluator is
+    /// anchored at the current state re-anchors it then.
+    ///
+    /// # Errors
+    ///
+    /// Propagates admission-gate failures.
+    pub fn accept(&mut self, mut gate: Option<&mut BestGuard<'_>>) -> Result<bool, OptError> {
+        let moved = match self.engine {
+            EngineKind::Tabu => self.accept_tabu(&mut gate)?,
+            EngineKind::Greedy => self.accept_greedy(&mut gate)?,
+            EngineKind::Anneal => self.accept_anneal(&mut gate)?,
+        };
+        self.iteration += 1;
+        Ok(moved)
+    }
+
+    /// One serial step: sample, score the slot slice in one batch pass of
+    /// `evaluator` (anchored at the current state), accept, and re-anchor
+    /// the evaluator when the current state moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation and admission-gate errors.
+    pub fn step(
+        &mut self,
+        evaluator: &mut SystemEvaluator,
+        gate: Option<&mut BestGuard<'_>>,
+    ) -> Result<(), OptError> {
+        self.sample(evaluator.app(), evaluator.platform().architecture());
+        evaluator.evaluate_batch_into(&self.slots[..self.len], &mut self.batch);
+        for i in 0..self.len {
+            let score = self.batch[i].as_ref().ok().copied();
+            self.set_score(i, score);
+        }
+        if self.accept(gate)? {
+            evaluator.evaluate(&self.current.copies, &self.current.policies)?;
+        }
+        Ok(())
+    }
+
+    /// The state the walk continues from.
+    pub fn current(&self) -> &Synthesized {
+        &self.current
+    }
+
+    /// The best admitted state so far.
+    pub fn best(&self) -> &Synthesized {
+        &self.best
+    }
+
+    /// Consumes the walk, returning its best admitted state.
+    pub fn into_best(self) -> Synthesized {
+        self.best
+    }
+
+    /// Replaces the current state (a portfolio barrier broadcasting a
+    /// better incumbent).
+    pub fn set_current(&mut self, state: &Synthesized) {
+        self.current.clone_from(state);
+    }
+
+    /// Replaces the best state (a portfolio barrier broadcasting a better
+    /// incumbent).
+    pub fn set_best(&mut self, state: &Synthesized) {
+        self.best.clone_from(state);
+    }
+
+    fn objective(&self, state: &Synthesized) -> (bool, Time, Time) {
+        self.config.calibrated_objective(state, self.deadline)
+    }
+
+    /// Makes proposal `i` the current state. The slot receives the previous
+    /// current state, which the next sample overwrites.
+    fn take(&mut self, i: usize) {
+        std::mem::swap(&mut self.slots[i], &mut self.current);
+    }
+
+    /// Copies the current state into the best one if it beats it and the
+    /// gate admits it.
+    fn promote(&mut self, gate: &mut Option<&mut BestGuard<'_>>) -> Result<(), OptError> {
+        if self.objective(&self.current) >= self.objective(&self.best) {
+            return Ok(());
+        }
+        let admitted = self.current.estimate.worst_case_length > self.deadline
+            || match gate {
+                Some(gate) => gate(&self.current)?,
+                None => true,
+            };
+        if admitted {
+            self.best.clone_from(&self.current);
+        }
+        Ok(())
+    }
+
+    fn accept_tabu(&mut self, gate: &mut Option<&mut BestGuard<'_>>) -> Result<bool, OptError> {
+        let best_objective = self.objective(&self.best);
+        let mut chosen: Option<(usize, (bool, Time, Time))> = None;
+        for i in 0..self.len {
+            if !self.scored[i] {
+                continue;
+            }
+            let objective = self.objective(&self.slots[i]);
+            let aspiration = objective < best_objective;
+            if self.tabu_until[self.moved[i].index()] > self.iteration && !aspiration {
+                continue;
+            }
+            if chosen.is_none_or(|(_, c)| objective < c) {
+                chosen = Some((i, objective));
             }
         }
         ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
-        if let Some((i, p, objective)) = best_move {
-            ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
-            tabu_until[p.index()] = iter + config.tenure;
-            pool.swap_into(i, &mut current);
-            if objective < best_objective && guard(&current)? {
-                best.clone_from(&current);
-            }
-            // Re-anchor the delta base at the accepted state.
-            evaluator.evaluate(&current.copies, &current.policies)?;
-        } else {
+        let Some((i, _)) = chosen else {
             ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1);
-        }
-        trace.push(best.estimate.worst_case_length.units());
+            return Ok(false);
+        };
+        ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
+        self.tabu_until[self.moved[i].index()] = self.iteration + self.config.tenure;
+        self.take(i);
+        self.promote(gate)?;
+        Ok(true)
     }
-    Ok((best, trace))
+
+    fn accept_greedy(&mut self, gate: &mut Option<&mut BestGuard<'_>>) -> Result<bool, OptError> {
+        let mut bar = self.objective(&self.current);
+        let mut chosen = None;
+        for i in 0..self.len {
+            if self.scored[i] && self.objective(&self.slots[i]) < bar {
+                bar = self.objective(&self.slots[i]);
+                chosen = Some(i);
+            }
+        }
+        ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
+        let Some(i) = chosen else {
+            ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1);
+            return Ok(false);
+        };
+        ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
+        self.take(i);
+        self.promote(gate)?;
+        Ok(true)
+    }
+
+    /// The Metropolis walk over the scored neighborhood: `Δ` is measured
+    /// against the evolving current state.
+    fn accept_anneal(&mut self, gate: &mut Option<&mut BestGuard<'_>>) -> Result<bool, OptError> {
+        let mut moved = false;
+        for i in 0..self.len {
+            if !self.scored[i] {
+                continue;
+            }
+            let delta = (self.slots[i].estimate.worst_case_length
+                - self.current.estimate.worst_case_length)
+                .as_f64();
+            let accept =
+                delta <= 0.0 || self.rng.gen_bool((-delta / self.temperature).exp().min(1.0));
+            ftes_obs::counter(ftes_obs::names::SEARCH_ITER, 1);
+            if !accept {
+                ftes_obs::counter(ftes_obs::names::SEARCH_REJECT, 1);
+                continue;
+            }
+            ftes_obs::counter(ftes_obs::names::SEARCH_ACCEPT, 1);
+            self.take(i);
+            moved = true;
+            self.promote(gate)?;
+        }
+        self.temperature = (self.temperature * 0.95).max(1e-3);
+        Ok(moved)
+    }
+}
+
+/// Runs a search from an initial state, minimizing the (calibrated)
+/// estimated worst-case schedule length: `config.iterations` serial
+/// [`Walker::step`]s over one evaluator kernel (the flow layer shares it
+/// across synthesis phases), with an optional admission gate on
+/// best-so-far updates — certify-guided searches pass one that
+/// incrementally certifies candidates and demotes refuted states *during*
+/// the search.
+///
+/// # Errors
+///
+/// Propagates evaluation and gate errors; the initial state must be
+/// feasible.
+pub fn search(
+    evaluator: &mut SystemEvaluator,
+    engine: EngineKind,
+    initial: Synthesized,
+    policy_moves: PolicyMoves,
+    config: SearchConfig,
+    mut gate: Option<&mut BestGuard<'_>>,
+) -> Result<Synthesized, OptError> {
+    // Anchor the delta base at the search's starting state.
+    evaluator.evaluate(&initial.copies, &initial.policies)?;
+    let mut walker =
+        Walker::new(engine, evaluator.app(), evaluator.k(), initial, policy_moves, config);
+    for _ in 0..config.iterations {
+        walker.step(evaluator, gate.as_deref_mut())?;
+    }
+    Ok(walker.into_best())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftes_gen::{generate_application, GeneratorConfig};
     use ftes_model::samples;
 
     fn setup(k: u32) -> (Application, Platform, Synthesized) {
@@ -710,6 +809,51 @@ mod tests {
         let policies = PolicyAssignment::uniform_reexecution(&app, k);
         let initial = Synthesized::evaluate(&app, &platform, mapping, policies, k).unwrap();
         (app, platform, initial)
+    }
+
+    fn generated(seed: u64) -> (Application, Platform, Synthesized) {
+        let app = generate_application(&GeneratorConfig::new(12, 3), seed).unwrap();
+        let platform = Platform::homogeneous(3, Time::new(8)).unwrap();
+        let mapping = Mapping::cheapest(&app, platform.architecture()).unwrap();
+        let policies = PolicyAssignment::uniform_reexecution(&app, 2);
+        let initial = Synthesized::evaluate(&app, &platform, mapping, policies, 2).unwrap();
+        (app, platform, initial)
+    }
+
+    fn run(
+        engine: EngineKind,
+        app: &Application,
+        platform: &Platform,
+        k: u32,
+        initial: Synthesized,
+        policy_moves: PolicyMoves,
+        config: SearchConfig,
+    ) -> Synthesized {
+        let mut evaluator = SystemEvaluator::new(app, platform, k);
+        search(&mut evaluator, engine, initial, policy_moves, config, None).unwrap()
+    }
+
+    /// A walk's best worst-case length after each step.
+    fn traced(
+        engine: EngineKind,
+        app: &Application,
+        platform: &Platform,
+        initial: Synthesized,
+        config: SearchConfig,
+    ) -> (Synthesized, Vec<i64>) {
+        let mut evaluator = SystemEvaluator::new(app, platform, 2);
+        evaluator.evaluate(&initial.copies, &initial.policies).unwrap();
+        let mut walker = Walker::new(engine, app, 2, initial, PolicyMoves::Full, config);
+        let mut trace = Vec::new();
+        for _ in 0..config.iterations {
+            walker.step(&mut evaluator, None).unwrap();
+            trace.push(walker.best().estimate.worst_case_length.units());
+        }
+        (walker.into_best(), trace)
+    }
+
+    fn cfg(seed: u64) -> SearchConfig {
+        SearchConfig { iterations: 20, neighborhood: 10, seed, ..SearchConfig::default() }
     }
 
     #[test]
@@ -740,15 +884,15 @@ mod tests {
     fn tabu_search_never_worsens_the_best() {
         let (app, platform, initial) = setup(2);
         let initial_obj = initial.objective();
-        let result = tabu_search(
+        let result = run(
+            EngineKind::Tabu,
             &app,
             &platform,
             2,
             initial,
             PolicyMoves::Full,
             SearchConfig { iterations: 40, ..SearchConfig::default() },
-        )
-        .unwrap();
+        );
         assert!(result.objective() <= initial_obj);
         result.policies.validate(2).unwrap();
     }
@@ -757,53 +901,60 @@ mod tests {
     fn mapping_only_search_keeps_policies() {
         let (app, platform, initial) = setup(1);
         let before: Vec<_> = initial.policies.iter().map(|(_, p)| p.clone()).collect();
-        let result = tabu_search(
-            &app,
-            &platform,
-            1,
-            initial,
-            PolicyMoves::None,
-            SearchConfig { iterations: 30, ..SearchConfig::default() },
-        )
-        .unwrap();
-        let after: Vec<_> = result.policies.iter().map(|(_, p)| p.clone()).collect();
-        assert_eq!(before, after, "PolicyMoves::None must not touch policies");
+        for engine in [EngineKind::Tabu, EngineKind::Anneal, EngineKind::Greedy] {
+            let result = run(
+                engine,
+                &app,
+                &platform,
+                1,
+                initial.clone(),
+                PolicyMoves::None,
+                SearchConfig { iterations: 30, ..SearchConfig::default() },
+            );
+            let after: Vec<_> = result.policies.iter().map(|(_, p)| p.clone()).collect();
+            assert_eq!(before, after, "PolicyMoves::None must not touch policies ({engine})");
+        }
     }
 
     #[test]
     fn guard_admissions_control_the_returned_best() {
-        let (app, platform, initial) = setup(2);
+        let (app, platform, initial) = generated(0);
         let cfg = SearchConfig { iterations: 30, ..SearchConfig::default() };
-        // An always-true guard reproduces the unguarded search bit for bit,
+        assert!(
+            initial.estimate.worst_case_length <= app.deadline(),
+            "the gate judges only states that meet the deadline"
+        );
+        // An always-true gate reproduces the ungated search bit for bit,
         // and is consulted once per attempted best displacement.
         let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
         let mut calls = 0u32;
-        let (admitted, trace_a) = tabu_search_guarded_with(
+        let admitted = search(
             &mut evaluator,
+            EngineKind::Tabu,
             initial.clone(),
             PolicyMoves::Full,
             cfg,
-            &mut |_| {
+            Some(&mut |_| {
                 calls += 1;
                 Ok(true)
-            },
+            }),
         )
         .unwrap();
-        let (unguarded, trace_b) =
-            tabu_search_traced(&app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg)
-                .unwrap();
+        let ungated =
+            run(EngineKind::Tabu, &app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg);
         assert!(calls > 0, "the walk must try to displace the best at least once");
-        assert_eq!(admitted.estimate, unguarded.estimate);
-        assert_eq!(trace_a, trace_b);
-        // An always-false guard demotes every candidate: the best never
+        assert_eq!(admitted.estimate, ungated.estimate);
+        assert_eq!(admitted.mapping, ungated.mapping);
+        // An always-false gate demotes every candidate: the best never
         // moves off the initial state.
         let mut evaluator = SystemEvaluator::new(&app, &platform, 2);
-        let (demoted, _) = tabu_search_guarded_with(
+        let demoted = search(
             &mut evaluator,
+            EngineKind::Tabu,
             initial.clone(),
             PolicyMoves::Full,
             cfg,
-            &mut |_| Ok(false),
+            Some(&mut |_| Ok(false)),
         )
         .unwrap();
         assert_eq!(demoted.estimate, initial.estimate);
@@ -814,9 +965,44 @@ mod tests {
     fn search_is_deterministic_in_seed() {
         let (app, platform, initial) = setup(2);
         let cfg = SearchConfig { iterations: 25, seed: 99, ..SearchConfig::default() };
-        let a = tabu_search(&app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg).unwrap();
-        let b = tabu_search(&app, &platform, 2, initial, PolicyMoves::Full, cfg).unwrap();
+        for engine in [EngineKind::Tabu, EngineKind::Anneal, EngineKind::Greedy] {
+            let a = run(engine, &app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg);
+            let b = run(engine, &app, &platform, 2, initial.clone(), PolicyMoves::Full, cfg);
+            assert_eq!(a.estimate, b.estimate);
+            assert_eq!(a.mapping, b.mapping);
+        }
+    }
+
+    #[test]
+    fn greedy_never_worsens_and_trace_is_monotone() {
+        let (app, platform, initial) = generated(0);
+        let start = initial.objective();
+        let (result, trace) = traced(EngineKind::Greedy, &app, &platform, initial, cfg(0));
+        assert!(result.objective() <= start);
+        for w in trace.windows(2) {
+            assert!(w[1] <= w[0], "greedy trace is non-increasing");
+        }
+    }
+
+    #[test]
+    fn annealing_best_never_worse_than_initial() {
+        let (app, platform, initial) = generated(1);
+        let start = initial.objective();
+        let (result, trace) = traced(EngineKind::Anneal, &app, &platform, initial, cfg(1));
+        assert!(result.objective() <= start);
+        assert_eq!(trace.len(), 20);
+        for w in trace.windows(2) {
+            assert!(w[1] <= w[0], "best-so-far trace is non-increasing");
+        }
+        result.policies.validate(2).unwrap();
+    }
+
+    #[test]
+    fn engines_are_deterministic_in_seed() {
+        let (app, platform, initial) = generated(2);
+        let (a, ta) = traced(EngineKind::Anneal, &app, &platform, initial.clone(), cfg(7));
+        let (b, tb) = traced(EngineKind::Anneal, &app, &platform, initial, cfg(7));
         assert_eq!(a.estimate, b.estimate);
-        assert_eq!(a.mapping, b.mapping);
+        assert_eq!(ta, tb);
     }
 }

@@ -12,7 +12,7 @@
 //!   without re-optimizing.
 
 use crate::{
-    constructive_mapping, tabu_search_with, OptError, PolicyMoves, SearchConfig, Synthesized,
+    constructive_mapping, search, EngineKind, OptError, PolicyMoves, SearchConfig, Synthesized,
 };
 use ftes_ft::PolicyAssignment;
 use ftes_model::Application;
@@ -102,17 +102,17 @@ pub fn synthesize_with(
             // seeds the full search, so MXR is never worse than MX — the
             // same bootstrapping the authors' heuristic uses.
             let mx = synthesize_with(evaluator, Strategy::Mx, config)?;
-            tabu_search_with(evaluator, mx, PolicyMoves::Full, config)
+            search(evaluator, EngineKind::Tabu, mx, PolicyMoves::Full, config, None)
         }
         Strategy::Mx => {
             let policies = PolicyAssignment::uniform_reexecution(evaluator.app(), k);
             let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            tabu_search_with(evaluator, initial, PolicyMoves::None, config)
+            search(evaluator, EngineKind::Tabu, initial, PolicyMoves::None, config, None)
         }
         Strategy::Mr => {
             let policies = PolicyAssignment::uniform_replication(evaluator.app(), k);
             let initial = Synthesized::evaluate_with(evaluator, initial_mapping, policies)?;
-            tabu_search_with(evaluator, initial, PolicyMoves::None, config)
+            search(evaluator, EngineKind::Tabu, initial, PolicyMoves::None, config, None)
         }
         Strategy::Sfx => {
             // Phase 1: fault-oblivious mapping (k = 0 objective) — a
@@ -120,7 +120,14 @@ pub fn synthesize_with(
             let mut no_ft_eval = SystemEvaluator::new(evaluator.app(), evaluator.platform(), 0);
             let no_ft = PolicyAssignment::uniform_reexecution(no_ft_eval.app(), 0);
             let initial = Synthesized::evaluate_with(&mut no_ft_eval, initial_mapping, no_ft)?;
-            let tuned = tabu_search_with(&mut no_ft_eval, initial, PolicyMoves::None, config)?;
+            let tuned = search(
+                &mut no_ft_eval,
+                EngineKind::Tabu,
+                initial,
+                PolicyMoves::None,
+                config,
+                None,
+            )?;
             // Phase 2: bolt re-execution on without re-optimizing.
             let policies = PolicyAssignment::uniform_reexecution(evaluator.app(), k);
             Synthesized::evaluate_with(evaluator, tuned.mapping, policies)

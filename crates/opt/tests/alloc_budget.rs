@@ -1,6 +1,6 @@
 //! Allocation budget of one search step: once a search has warmed up its
-//! proposal pool and kernel scratch, an iteration allocates (almost)
-//! nothing, whatever the process count or neighborhood size.
+//! proposal slots and kernel scratch, an iteration allocates (almost)
+//! nothing, whatever the engine, process count or neighborhood size.
 //!
 //! Steady-state allocations are measured as the difference between two
 //! runs of the same seeded search that differ only in iteration count:
@@ -14,7 +14,7 @@
 use ftes_ft::PolicyAssignment;
 use ftes_gen::{generate_application, GeneratorConfig};
 use ftes_model::{Mapping, Time};
-use ftes_opt::{simulated_annealing, tabu_search_with, PolicyMoves, SearchConfig, Synthesized};
+use ftes_opt::{search, EngineKind, PolicyMoves, SearchConfig, Synthesized};
 use ftes_sched::SystemEvaluator;
 use ftes_tdma::Platform;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -97,14 +97,20 @@ fn config(iterations: usize, neighborhood: usize) -> SearchConfig {
     SearchConfig { iterations, neighborhood, seed: 3, ..SearchConfig::default() }
 }
 
-/// Allocations of one tabu search of `iterations` iterations, kernel
+/// Allocations of one search of `iterations` iterations, kernel
 /// construction and the initial state's copy excluded.
-fn tabu_allocations(inst: &Instance, k: u32, iterations: usize, neighborhood: usize) -> u64 {
+fn search_allocations(
+    inst: &Instance,
+    engine: EngineKind,
+    k: u32,
+    iterations: usize,
+    neighborhood: usize,
+) -> u64 {
     let mut evaluator = SystemEvaluator::new(&inst.app, &inst.platform, k);
     let initial = inst.initial.clone();
     let cfg = config(iterations, neighborhood);
     let (result, count) = allocations_during(|| {
-        tabu_search_with(&mut evaluator, initial, PolicyMoves::Full, cfg).expect("search runs")
+        search(&mut evaluator, engine, initial, PolicyMoves::Full, cfg, None).expect("search runs")
     });
     drop(result);
     count
@@ -116,48 +122,35 @@ fn steady_state_per_iteration(allocations: impl Fn(usize) -> u64) -> f64 {
     long.saturating_sub(short) as f64 / (LONG - SHORT) as f64
 }
 
-#[test]
-fn tabu_iterations_stay_within_the_allocation_bound() {
+/// Checks `engine` at two process counts and the given neighborhood sizes.
+fn assert_within_bound(engine: EngineKind, neighborhoods: &[usize]) {
     let k = 2;
     for processes in [10, 40] {
         let inst = instance(processes, k);
-        for neighborhood in [24, 48] {
+        for &neighborhood in neighborhoods {
             let per_iteration = steady_state_per_iteration(|iterations| {
-                tabu_allocations(&inst, k, iterations, neighborhood)
+                search_allocations(&inst, engine, k, iterations, neighborhood)
             });
             assert!(
                 per_iteration <= PER_ITERATION_BOUND,
                 "n={processes}, neighborhood={neighborhood}: \
-                 {per_iteration:.2} allocations per tabu iteration"
+                 {per_iteration:.2} allocations per {engine} iteration"
             );
         }
     }
 }
 
 #[test]
+fn tabu_iterations_stay_within_the_allocation_bound() {
+    assert_within_bound(EngineKind::Tabu, &[24, 48]);
+}
+
+#[test]
 fn annealing_iterations_stay_within_the_allocation_bound() {
-    let k = 2;
-    for processes in [10, 40] {
-        let inst = instance(processes, k);
-        let per_iteration = steady_state_per_iteration(|iterations| {
-            let initial = inst.initial.clone();
-            let (result, count) = allocations_during(|| {
-                simulated_annealing(
-                    &inst.app,
-                    &inst.platform,
-                    k,
-                    initial,
-                    PolicyMoves::Full,
-                    config(iterations, 24),
-                )
-                .expect("search runs")
-            });
-            drop(result);
-            count
-        });
-        assert!(
-            per_iteration <= PER_ITERATION_BOUND,
-            "n={processes}: {per_iteration:.2} allocations per annealing iteration"
-        );
-    }
+    assert_within_bound(EngineKind::Anneal, &[24]);
+}
+
+#[test]
+fn greedy_iterations_stay_within_the_allocation_bound() {
+    assert_within_bound(EngineKind::Greedy, &[24]);
 }

@@ -33,7 +33,7 @@ use ftes::ft::PolicyAssignment;
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{FaultModel, Mapping, ProcessId, Time, Transparency};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove, SearchConfig};
+use ftes::opt::{candidate_policies, SearchConfig};
 use ftes::sched::{CertOutcome, Certifier, CertifyConfig, SystemEvaluator};
 use ftes::tdma::Platform;
 use ftes::{synthesize_system, Certification, FlowConfig};
@@ -113,10 +113,7 @@ fn estimator_calibration_envelope_on_random_systems() {
                 );
                 let cands = candidate_policies(&app, p, k, 8);
                 let policy = cands[((seed + step) % cands.len() as u64) as usize].clone();
-                let mv = CandidateMove::Repolicy { process: p, policy };
-                if let Some((_, next)) = apply_move(&app, arch, &mapping, &policies, &mv) {
-                    policies = next;
-                }
+                policies.set(p, policy);
             }
         }
     }

@@ -20,7 +20,7 @@ use ftes::ft::PolicyAssignment;
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, FaultModel, Mapping, NodeId, ProcessId, Time, Transparency};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove};
+use ftes::opt::{candidate_policies, CandidateMove};
 use ftes::sched::{BoundedCert, CertOutcome, Certifier, CertifyConfig, CertifyError};
 use ftes::tdma::Platform;
 use proptest::prelude::*;
@@ -142,11 +142,10 @@ proptest! {
             let mut fresh_states = 0u32;
             for step in 0..8u64 {
                 let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
-                let Some((next_mapping, next_policies)) =
-                    apply_move(&app, arch, &mapping, &policies, &mv)
-                else {
+                let (mut next_mapping, mut next_policies) = (mapping.clone(), policies.clone());
+                if !mv.apply_to(&app, arch, &mut next_mapping, &mut next_policies) {
                     continue;
-                };
+                }
                 let Ok(copies) = CopyMapping::from_base(&app, arch, &next_mapping, &next_policies)
                 else {
                     continue;
@@ -238,11 +237,12 @@ proptest! {
 
             for step in 0..6u64 {
                 if let Some(mv) = step_move(&app, &mapping, k, seed, step) {
-                    if let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, &mv) {
-                        if CopyMapping::from_base(&app, arch, &m, &p).is_ok() {
-                            mapping = m;
-                            policies = p;
-                        }
+                    let (mut m, mut p) = (mapping.clone(), policies.clone());
+                    if mv.apply_to(&app, arch, &mut m, &mut p)
+                        && CopyMapping::from_base(&app, arch, &m, &p).is_ok()
+                    {
+                        mapping = m;
+                        policies = p;
                     }
                 }
                 let Ok(copies) = CopyMapping::from_base(&app, arch, &mapping, &policies) else {

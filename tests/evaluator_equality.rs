@@ -19,7 +19,7 @@ use ftes::ft::PolicyAssignment;
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{Application, Mapping, NodeId, ProcessId, Time};
-use ftes::opt::{apply_move, candidate_policies, CandidateMove};
+use ftes::opt::{candidate_policies, CandidateMove};
 use ftes::sched::{estimate_schedule_length, SystemEvaluator};
 use ftes::tdma::Platform;
 use proptest::prelude::*;
@@ -93,11 +93,10 @@ proptest! {
 
             for step in 0..10u64 {
                 let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
-                let Some((next_mapping, next_policies)) =
-                    apply_move(&app, arch, &mapping, &policies, &mv)
-                else {
+                let (mut next_mapping, mut next_policies) = (mapping.clone(), policies.clone());
+                if !mv.apply_to(&app, arch, &mut next_mapping, &mut next_policies) {
                     continue;
-                };
+                }
                 let Ok(copies) = CopyMapping::from_base(&app, arch, &next_mapping, &next_policies)
                 else {
                     continue;
@@ -166,9 +165,10 @@ proptest! {
             let mut neighborhood: Vec<(CopyMapping, PolicyAssignment)> = Vec::new();
             for step in 0..12u64 {
                 let Some(mv) = step_move(&app, &mapping, k, seed, step) else { continue };
-                let Some((m, p)) = apply_move(&app, arch, &mapping, &policies, &mv) else {
+                let (mut m, mut p) = (mapping.clone(), policies.clone());
+                if !mv.apply_to(&app, arch, &mut m, &mut p) {
                     continue;
-                };
+                }
                 let Ok(copies) = CopyMapping::from_base(&app, arch, &m, &p) else { continue };
                 neighborhood.push((copies, p));
             }

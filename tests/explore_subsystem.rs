@@ -6,7 +6,7 @@ use ftes::explore::{
     explore, run_suite, suite_to_csv, suite_to_json, PortfolioConfig, ScenarioPoint, SuiteConfig,
 };
 use ftes::model::Time;
-use ftes::opt::{apply_move, synthesize, CandidateMove, SearchConfig, Strategy};
+use ftes::opt::{synthesize, CandidateMove, SearchConfig, Strategy};
 use ftes::tdma::Platform;
 use ftes_cli::{ExploreCommand, ExploreFormat};
 
@@ -52,7 +52,8 @@ fn move_primitives_compose_from_the_facade() {
         process: ftes::model::ProcessId::new(0),
         policy: ftes::ft::Policy::replication(1),
     };
-    let (m2, p2) = apply_move(&app, &arch, &mapping, &policies, &mv).expect("feasible");
+    let (mut m2, mut p2) = (mapping.clone(), policies.clone());
+    assert!(mv.apply_to(&app, &arch, &mut m2, &mut p2), "feasible");
     assert_eq!(m2, mapping, "repolicy leaves the mapping untouched");
     assert_eq!(p2.policy(ftes::model::ProcessId::new(0)).replica_count(), 1);
 }
