@@ -1,5 +1,7 @@
-//! Memoized estimate cache: a sharded, lock-light map from canonical
-//! candidate-state encodings to root-schedule estimates.
+//! Memoized state caches: one sharded, lock-light reserve-on-probe map
+//! ([`ReservationMap`]) from canonical candidate-state encodings to a
+//! value — root-schedule estimates ([`EstimateCache`]) or certify-guided
+//! admit verdicts ([`CertifyCache`]).
 //!
 //! The portfolio workers of this crate repeatedly revisit states — tabu
 //! cycles, annealing re-acceptance, and *cross-worker* convergence on the
@@ -84,7 +86,7 @@ fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Hit/miss/size snapshot of an [`EstimateCache`].
+/// Hit/miss/size snapshot of a [`ReservationMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -115,41 +117,75 @@ impl CacheStats {
     }
 }
 
-/// One cached slot. `Ready(None)` caches *infeasibility*, so known-dead
-/// states are never re-tried; `Pending` reserves a key whose first prober
-/// is still computing it, which pins the miss accounting: exactly one miss
-/// per unique key, no matter how probes interleave across workers.
+/// One slot of a [`ReservationMap`]. `Pending` reserves a key whose first
+/// prober is still computing it, which pins the miss accounting: exactly
+/// one miss per unique key, no matter how probes interleave across workers.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
+enum Slot<V> {
     Pending,
-    Ready(Option<Estimate>),
+    Ready(V),
 }
 
-/// What a [`probe_or_reserve`](EstimateCache::probe_or_reserve) found.
+/// What a [`probe_or_reserve`](ReservationMap::probe_or_reserve) found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Probe {
-    /// The key is cached (`None` = cached infeasibility). Counted as a hit.
-    Ready(Option<Estimate>),
+pub enum Probe<V> {
+    /// The key's value is cached. Counted as a hit.
+    Ready(V),
     /// Another prober reserved the key and is still computing it. Counted
     /// as a hit (sequentially the reserver would have finished first); the
     /// caller computes the value itself rather than waiting — both arrive
     /// at the same value, and the first
-    /// [`resolve`](EstimateCache::resolve) wins.
+    /// [`resolve`](ReservationMap::resolve) wins.
     Pending,
     /// The key was absent; this call reserved it. Counted as the key's one
-    /// miss — the caller must compute and [`resolve`](EstimateCache::resolve).
+    /// miss — the caller must compute and
+    /// [`resolve`](ReservationMap::resolve).
     Reserved,
 }
 
-/// One cache shard.
-type Shard = Mutex<HashMap<StateKey, Slot>>;
+/// One map shard.
+type Shard<V> = Mutex<HashMap<StateKey, Slot<V>>>;
 
-/// Sharded memo table from [`StateKey`] to the state's estimate.
+/// Sharded reserve-on-probe memo table from [`StateKey`] to a value that
+/// is a pure function of the keyed state.
+///
+/// The pending reservation keeps the hit/miss counters — part of the
+/// deterministic report surface — independent of thread count: each
+/// unique key misses exactly once, on the probe that reserved it, and
+/// every later probe is a hit, however the workers' probe→resolve windows
+/// interleave. A racing prober recomputes rather than waits, so values
+/// must be pure facts of the state (certifiers run unbudgeted in guided
+/// mode precisely so a racer re-derives the identical verdict).
 #[derive(Debug)]
-pub struct EstimateCache {
-    shards: Box<[Shard]>,
+pub struct ReservationMap<V> {
+    shards: Box<[Shard<V>]>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Obs counters bumped per hit and per miss, if any.
+    counters: Option<(&'static str, &'static str)>,
+}
+
+/// Estimates by state. `Ready(None)` caches *infeasibility*, so known-dead
+/// states are never re-tried.
+pub type EstimateCache = ReservationMap<Option<Estimate>>;
+
+/// Certify-guided admit verdicts by state (`true` = the state may become a
+/// worker's best, `false` = demoted).
+pub type CertifyCache = ReservationMap<bool>;
+
+impl EstimateCache {
+    /// A cache with the default shard count (64: enough that a dozen worker
+    /// threads rarely contend on a shard lock), counting its hits and
+    /// misses in the `ESTIMATE_CACHE_*` obs counters.
+    pub fn new() -> Self {
+        ReservationMap {
+            counters: Some((
+                ftes_obs::names::ESTIMATE_CACHE_HIT,
+                ftes_obs::names::ESTIMATE_CACHE_MISS,
+            )),
+            ..ReservationMap::with_shards(64)
+        }
+    }
 }
 
 impl Default for EstimateCache {
@@ -158,40 +194,40 @@ impl Default for EstimateCache {
     }
 }
 
-impl EstimateCache {
-    /// A cache with the default shard count (64: enough that a dozen worker
-    /// threads rarely contend on a shard lock).
+impl CertifyCache {
+    /// A cache with the default shard count.
     pub fn new() -> Self {
-        Self::with_shards(64)
+        ReservationMap::with_shards(64)
     }
+}
 
-    /// A cache with an explicit shard count (rounded up to at least 1).
+impl Default for CertifyCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<V: Copy> ReservationMap<V> {
+    /// A map with an explicit shard count (rounded up to at least 1) and
+    /// no obs counters.
     pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        EstimateCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+        ReservationMap {
+            shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            counters: None,
         }
     }
 
-    fn shard(&self, key: &StateKey) -> &Shard {
+    fn shard(&self, key: &StateKey) -> &Shard<V> {
         &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
     }
 
-    /// Returns the cached evaluation of `key`, or runs `compute` and caches
-    /// its result. The shard lock is **not** held while computing; the
-    /// pending-slot reservation makes the hit/miss accounting
-    /// interleaving-independent (a racing prober counts a hit and computes
-    /// the — identical — value itself rather than waiting).
-    pub fn get_or_compute(
-        &self,
-        key: StateKey,
-        compute: impl FnOnce() -> Option<Estimate>,
-    ) -> Option<Estimate> {
-        match self.probe_or_reserve(&key) {
-            Probe::Ready(value) => return value,
-            Probe::Pending | Probe::Reserved => {}
+    /// Returns the cached value of `key`, or runs `compute` and caches its
+    /// result. The shard lock is **not** held while computing.
+    pub fn get_or_compute(&self, key: StateKey, compute: impl FnOnce() -> V) -> V {
+        if let Probe::Ready(value) = self.probe_or_reserve(&key) {
+            return value;
         }
         let value = compute();
         self.resolve(key, value);
@@ -199,39 +235,31 @@ impl EstimateCache {
     }
 
     /// Looks `key` up without computing anything, reserving it on a miss.
-    /// The batch path probes all candidates first, batch-evaluates only
-    /// the [`Probe::Reserved`]/[`Probe::Pending`] ones, and
-    /// [`resolve`](EstimateCache::resolve)s the results. The reservation
-    /// is what keeps the hit/miss counters deterministic for any thread
-    /// count: each unique key misses exactly once — on the probe that
-    /// reserved it — and every later probe is a hit, however the workers'
-    /// probe→resolve windows interleave.
-    pub fn probe_or_reserve(&self, key: &StateKey) -> Probe {
+    /// The batch path probes all candidates first, computes only the
+    /// [`Probe::Reserved`]/[`Probe::Pending`] ones, and
+    /// [`resolve`](ReservationMap::resolve)s the results.
+    pub fn probe_or_reserve(&self, key: &StateKey) -> Probe<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.get(key) {
-            Some(Slot::Ready(value)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_HIT, 1);
-                Probe::Ready(*value)
-            }
-            Some(Slot::Pending) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_HIT, 1);
-                Probe::Pending
-            }
+        let probe = match shard.get(key) {
+            Some(Slot::Ready(value)) => Probe::Ready(*value),
+            Some(Slot::Pending) => Probe::Pending,
             None => {
                 shard.insert(key.clone(), Slot::Pending);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                ftes_obs::counter(ftes_obs::names::ESTIMATE_CACHE_MISS, 1);
                 Probe::Reserved
             }
+        };
+        let hit = !matches!(probe, Probe::Reserved);
+        if hit { &self.hits } else { &self.misses }.fetch_add(1, Ordering::Relaxed);
+        if let Some((hit_counter, miss_counter)) = self.counters {
+            ftes_obs::counter(if hit { hit_counter } else { miss_counter }, 1);
         }
+        probe
     }
 
-    /// Publishes a computed evaluation, completing a reservation. The
-    /// first resolve of a key wins; later ones (racing probers that saw
+    /// Publishes a computed value, completing a reservation. The first
+    /// resolve of a key wins; later ones (racing probers that saw
     /// [`Probe::Pending`] and computed the same value) are no-ops.
-    pub fn resolve(&self, key: StateKey, value: Option<Estimate>) {
+    pub fn resolve(&self, key: StateKey, value: V) {
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         let slot = shard.entry(key).or_insert(Slot::Pending);
         if matches!(slot, Slot::Pending) {
@@ -248,112 +276,6 @@ impl EstimateCache {
                 .shards
                 .iter()
                 .map(|s| s.lock().expect("cache shard poisoned").len())
-                .sum(),
-        }
-    }
-}
-
-/// One cached certify-admit slot (see [`CertifyCache`]).
-#[derive(Debug, Clone, Copy)]
-enum AdmitSlot {
-    Pending,
-    Ready(bool),
-}
-
-/// What a [`probe_or_reserve`](CertifyCache::probe_or_reserve) found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CertifyProbe {
-    /// The key's admit verdict is cached. Counted as a hit.
-    Ready(bool),
-    /// Another prober reserved the key and is still certifying it. Counted
-    /// as a hit; the caller certifies the state itself — verdicts are pure
-    /// facts of the state, so both arrive at the same answer and the first
-    /// [`resolve`](CertifyCache::resolve) wins.
-    Pending,
-    /// The key was absent; this call reserved it. Counted as the key's one
-    /// miss — the caller must certify and
-    /// [`resolve`](CertifyCache::resolve).
-    Reserved,
-}
-
-/// Sharded memo table from [`StateKey`] to a certify-guided admit verdict
-/// (`true` = the state may become a worker's best, `false` = demoted).
-///
-/// Same pending-reservation discipline as [`EstimateCache`], for the same
-/// reason: each unique key misses exactly once no matter how worker
-/// probe→resolve windows interleave, so the hit/miss counters — part of
-/// the deterministic report surface — never depend on thread count.
-/// Verdicts must be pure facts of the keyed state (certifiers run
-/// unbudgeted in guided mode precisely so a racing prober re-derives the
-/// identical answer).
-#[derive(Debug)]
-pub struct CertifyCache {
-    shards: Box<[Mutex<HashMap<StateKey, AdmitSlot>>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for CertifyCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CertifyCache {
-    /// A cache with the default shard count.
-    pub fn new() -> Self {
-        let shards = 64;
-        CertifyCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &StateKey) -> &Mutex<HashMap<StateKey, AdmitSlot>> {
-        &self.shards[(key.hash64() % self.shards.len() as u64) as usize]
-    }
-
-    /// Looks `key` up without certifying anything, reserving it on a miss.
-    pub fn probe_or_reserve(&self, key: &StateKey) -> CertifyProbe {
-        let mut shard = self.shard(key).lock().expect("certify cache shard poisoned");
-        match shard.get(key) {
-            Some(AdmitSlot::Ready(admit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Ready(*admit)
-            }
-            Some(AdmitSlot::Pending) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Pending
-            }
-            None => {
-                shard.insert(key.clone(), AdmitSlot::Pending);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CertifyProbe::Reserved
-            }
-        }
-    }
-
-    /// Publishes an admit verdict, completing a reservation. The first
-    /// resolve of a key wins; later ones (racing probers that derived the
-    /// same verdict) are no-ops.
-    pub fn resolve(&self, key: StateKey, admit: bool) {
-        let mut shard = self.shard(&key).lock().expect("certify cache shard poisoned");
-        let slot = shard.entry(key).or_insert(AdmitSlot::Pending);
-        if matches!(slot, AdmitSlot::Pending) {
-            *slot = AdmitSlot::Ready(admit);
-        }
-    }
-
-    /// Current hit/miss/size counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("certify cache shard poisoned").len())
                 .sum(),
         }
     }
@@ -432,14 +354,14 @@ mod tests {
         let key = StateKey::encode(&mapping, &policies);
         let cache = CertifyCache::new();
         // First probe is the key's one miss; it reserves.
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Reserved);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Reserved);
         // A racing prober sees the pending reservation as a hit and
         // certifies on its own.
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Pending);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Pending);
         cache.resolve(key.clone(), false);
         // The racer's later (identical) verdict is a no-op: first wins.
-        cache.resolve(key.clone(), false);
-        assert_eq!(cache.probe_or_reserve(&key), CertifyProbe::Ready(false));
+        cache.resolve(key.clone(), true);
+        assert_eq!(cache.probe_or_reserve(&key), Probe::Ready(false));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
     }

@@ -70,7 +70,7 @@ mod report;
 mod suite;
 
 pub use archive::{table_cost, ArchiveEntry, Objectives, ParetoArchive};
-pub use cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, Probe, StateKey};
+pub use cache::{CacheStats, CertifyCache, EstimateCache, Probe, ReservationMap, StateKey};
 pub use ftes_opt::EngineKind;
 pub use portfolio::{
     default_portfolio, explore, Exploration, ExploreError, PortfolioConfig, WorkerSpec,

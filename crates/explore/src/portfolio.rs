@@ -27,7 +27,7 @@
 //! `tests/determinism.rs` locks in.
 
 use crate::archive::{ArchiveEntry, ParetoArchive};
-use crate::cache::{CacheStats, CertifyCache, CertifyProbe, EstimateCache, StateKey};
+use crate::cache::{CacheStats, CertifyCache, EstimateCache, StateKey};
 use crate::pool::{indexed_parallel, score_neighborhood};
 use ftes_ft::PolicyAssignment;
 use ftes_model::{Application, FaultModel, Time, Transparency};
@@ -201,15 +201,9 @@ impl Worker {
                 // regime (admit) rather than aborting the search.
                 Some(certifier) => self.walker.accept(Some(&mut |candidate: &Synthesized| {
                     let key = StateKey::encode(&candidate.mapping, &candidate.policies);
-                    Ok(match certify_cache.probe_or_reserve(&key) {
-                        CertifyProbe::Ready(admit) => admit,
-                        CertifyProbe::Pending | CertifyProbe::Reserved => {
-                            let admit =
-                                certify_admits(certifier, deadline, candidate).unwrap_or(true);
-                            certify_cache.resolve(key, admit);
-                            admit
-                        }
-                    })
+                    Ok(certify_cache.get_or_compute(key, || {
+                        certify_admits(certifier, deadline, candidate).unwrap_or(true)
+                    }))
                 }))?,
                 None => self.walker.accept(None)?,
             };
