@@ -8,16 +8,26 @@
 //!   returns the same `Result` as [`Mapping::new`] on the edited vector —
 //!   `Ok` and every `Err` variant;
 //! * [`MoveVocabulary::sample`] draws the same moves as [`sample_move`]
-//!   from the same RNG state, and leaves the RNG in the same state.
+//!   from the same RNG state, and leaves the RNG in the same state;
+//! * one search engine: a one-worker, one-round portfolio [`explore`]
+//!   returns exactly what the serial [`search`] returns from the same
+//!   initial state with the worker's derived seed, neighborhood and tenure,
+//!   for every [`EngineKind`], with and without certify-guided admission.
 
+use ftes::explore::{explore, PortfolioConfig, WorkerSpec};
 use ftes::ft::{Policy, PolicyAssignment};
 use ftes::ftcpg::CopyMapping;
 use ftes::gen::{generate_application, GeneratorConfig};
 use ftes::model::{
-    Application, ApplicationBuilder, Architecture, Mapping, ModelError, NodeId, ProcessId,
-    ProcessSpec, Time,
+    Application, ApplicationBuilder, Architecture, FaultModel, Mapping, ModelError, NodeId,
+    ProcessId, ProcessSpec, Time, Transparency,
 };
-use ftes::opt::{candidate_policies, sample_move, MoveVocabulary, PolicyMoves, SearchConfig};
+use ftes::opt::{
+    candidate_policies, certify_admits, constructive_mapping, sample_move, search, EngineKind,
+    MoveVocabulary, PolicyMoves, SearchConfig, Synthesized,
+};
+use ftes::sched::{Certifier, CertifyConfig, SystemEvaluator};
+use ftes::tdma::Platform;
 use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -234,6 +244,90 @@ proptest! {
             }
             // Both consumed the stream identically.
             prop_assert_eq!(reference.next_u64(), precomputed.next_u64());
+        }
+    }
+}
+
+/// The serial search a one-worker portfolio runs: the portfolio's initial
+/// state (constructive mapping, uniform re-execution) and the worker's
+/// derived seed, neighborhood and tenure.
+fn serial_twin(
+    app: &Application,
+    platform: &Platform,
+    k: u32,
+    config: &PortfolioConfig,
+) -> Synthesized {
+    let spec = config.workers[0];
+    let mapping = constructive_mapping(app, platform.architecture()).expect("mappable");
+    let policies = PolicyAssignment::uniform_reexecution(app, k);
+    let initial = Synthesized::evaluate(app, platform, mapping, policies, k).expect("feasible");
+    // Worker 0's seed: the golden-ratio mix of master seed and offset.
+    let seed = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(spec.seed_offset);
+    let search_config = SearchConfig {
+        iterations: config.iterations_per_round,
+        tenure: spec.tenure,
+        neighborhood: spec.neighborhood,
+        max_checkpoints: config.max_checkpoints,
+        seed,
+        calibration_milli: 1000,
+    };
+    let mut evaluator = SystemEvaluator::new(app, platform, k);
+    if !config.certify_guided {
+        return search(
+            &mut evaluator,
+            spec.engine,
+            initial,
+            PolicyMoves::Full,
+            search_config,
+            None,
+        )
+        .expect("search runs");
+    }
+    // The portfolio's certifier: unbudgeted, hard failures admit.
+    let mut certifier = Certifier::new(
+        app,
+        platform,
+        FaultModel::new(k),
+        &Transparency::none(),
+        CertifyConfig { max_exact_runs: u64::MAX, ..CertifyConfig::default() },
+    );
+    let deadline = app.deadline();
+    search(
+        &mut evaluator,
+        spec.engine,
+        initial,
+        PolicyMoves::Full,
+        search_config,
+        Some(&mut |candidate: &Synthesized| {
+            Ok(certify_admits(&mut certifier, deadline, candidate).unwrap_or(true))
+        }),
+    )
+    .expect("search runs")
+}
+
+#[test]
+fn one_worker_explore_equals_the_serial_search() {
+    let engines = [EngineKind::Tabu, EngineKind::Anneal, EngineKind::Greedy];
+    for (seed, certify_guided) in [(0u64, false), (1, false), (2, true), (3, false)] {
+        let app = generated(seed, 12, 3);
+        let platform = Platform::homogeneous(3, Time::new(8)).expect("platform");
+        let k = if certify_guided { 1 } else { 2 };
+        for engine in engines {
+            let config = PortfolioConfig {
+                workers: vec![WorkerSpec { engine, seed_offset: 7, neighborhood: 16, tenure: 5 }],
+                rounds: 1,
+                iterations_per_round: 30,
+                threads: 1,
+                max_checkpoints: 16,
+                seed: 41 + seed,
+                certify_guided,
+            };
+            let explored = explore(&app, &platform, k, &config).expect("explore runs").best;
+            let serial = serial_twin(&app, &platform, k, &config);
+            let label = format!("{engine}, seed {seed}, guided {certify_guided}");
+            assert_eq!(explored.mapping, serial.mapping, "{label}");
+            assert_eq!(explored.policies, serial.policies, "{label}");
+            assert_eq!(explored.estimate, serial.estimate, "{label}");
         }
     }
 }
