@@ -231,41 +231,43 @@ fn worker_loop(shared: &Shared) {
         // acceptor queues connections nobody serves. Handlers hold no
         // locks across user input, so unwind safety is not a concern.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(shared, &stream)
+            serve_connection(shared, &stream, started)
         }));
-        let recorded = match outcome {
-            Ok(recorded) => recorded,
-            Err(_) => {
-                let _ = write_response(&stream, 500, &error_body(500, "internal handler failure"));
-                Some((Endpoint::Other, 500))
-            }
-        };
-        if let Some((endpoint, status)) = recorded {
-            shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
+        if outcome.is_err() {
+            record(shared, Endpoint::Other, 500, started);
+            let _ = write_response(&stream, 500, &error_body(500, "internal handler failure"));
         }
     }
 }
 
-/// Reads one request and replies. `None` means the connection died before
-/// a response was possible (nothing meaningful to record).
-fn serve_connection(shared: &Shared, stream: &TcpStream) -> Option<(Endpoint, u16)> {
+/// Counts a finished request. Every reply is counted *before* its bytes
+/// go out, so a client that reads a reply and then asks `/metrics` always
+/// finds its own request counted.
+fn record(shared: &Shared, endpoint: Endpoint, status: u16, started: Instant) {
+    shared.metrics.record(endpoint, status, started.elapsed().as_micros() as u64);
+}
+
+/// Reads one request, records it and replies. A connection that dies
+/// before a response is possible records nothing.
+fn serve_connection(shared: &Shared, stream: &TcpStream, started: Instant) {
     let request = match read_request(stream) {
         Ok(Ok(request)) => request,
         Ok(Err(e)) => {
             let status = e.status();
+            record(shared, Endpoint::Other, status, started);
             let _ = write_response(stream, status, &error_body(status, &e.message()));
-            return Some((Endpoint::Other, status));
+            return;
         }
         // Read timeout / disconnect: drop silently.
-        Err(_) => return None,
+        Err(_) => return,
     };
     let _span = ftes::obs::span(ftes::obs::names::SERVE_REQUEST);
     let (endpoint, reply) = route(shared, &request);
     let extra: Vec<String> =
         reply.retry_after.iter().map(|secs| format!("Retry-After: {secs}")).collect();
-    // A failed write still records: the work was done, the client left.
+    // A failed write still counts: the work was done, the client left.
+    record(shared, endpoint, reply.status, started);
     let _ = write_response_with(stream, reply.status, reply.content_type, &extra, &reply.body);
-    Some((endpoint, reply.status))
 }
 
 impl Server {

@@ -165,16 +165,23 @@ fn metrics_expose_phase_timings_and_the_evaluator_bank() {
 #[test]
 fn metrics_json_carries_p90_and_the_per_endpoint_breakdown() {
     let server = test_server(ServeConfig { workers: 2, ..ServeConfig::default() });
-    let (status, _) = call(&server, "POST", "/synthesize", FIG5_SPEC);
-    assert_eq!(status, 200);
-    let (status, metrics) = call(&server, "GET", "/metrics", "");
-    assert_eq!(status, 200);
-    assert!(metrics.contains("\"p90\":"), "{metrics}");
-    assert!(
-        metrics.contains("\"latency_by_endpoint\":{\"synthesize\":{\"served\":1,"),
-        "{metrics}"
-    );
-    assert!(metrics.contains("\"journal_appends\":"), "{metrics}");
+    // A request is counted before its reply goes out, so the client's next
+    // `/metrics` — possibly served by the other worker while the first one
+    // is still finishing — always sees it.
+    for served in 1..=50 {
+        let (status, _) = call(&server, "POST", "/synthesize", FIG5_SPEC);
+        assert_eq!(status, 200);
+        let (status, metrics) = call(&server, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        assert!(metrics.contains("\"p90\":"), "{metrics}");
+        assert!(
+            metrics.contains(&format!(
+                "\"latency_by_endpoint\":{{\"synthesize\":{{\"served\":{served},"
+            )),
+            "after {served} requests: {metrics}"
+        );
+        assert!(metrics.contains("\"journal_appends\":"), "{metrics}");
+    }
     // `?format=json` is the explicit spelling of the default.
     let (status, same_shape) = call(&server, "GET", "/metrics?format=json", "");
     assert_eq!(status, 200);
