@@ -21,24 +21,22 @@ use ftes_opt::Walker;
 use ftes_sched::{Estimate, SystemEvaluator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Runs `f(thread, 0..n)` across up to `threads` scoped threads, returning
-/// results in index order. Work is claimed from a shared atomic counter, so
-/// uneven item costs balance automatically; `thread` identifies the worker
-/// slot (0-based, `< threads`) so callers can check thread-affine resources
-/// (e.g. a pooled evaluator) out without contention.
+/// Runs `f(0..n)` across up to `threads` scoped threads, returning results
+/// in index order. Work is claimed from a shared atomic counter, so uneven
+/// item costs balance automatically.
 pub(crate) fn indexed_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 {
-        return (0..n).map(|i| f(0, i)).collect();
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
     let buckets: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
+            .map(|_| {
                 let f = &f;
                 let next = &next;
                 scope.spawn(move || {
@@ -48,13 +46,13 @@ where
                         if i >= n {
                             break;
                         }
-                        out.push((i, f(t, i)));
+                        out.push((i, f(i)));
                     }
                     out
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("evaluator thread panicked")).collect()
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
     });
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for bucket in buckets {
@@ -133,18 +131,10 @@ mod tests {
     #[test]
     fn indexed_parallel_preserves_order() {
         for threads in [1, 2, 7] {
-            let out = indexed_parallel(100, threads, |_, i| i * i);
+            let out = indexed_parallel(100, threads, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         }
-        assert!(indexed_parallel(0, 4, |_, i| i).is_empty());
-    }
-
-    #[test]
-    fn indexed_parallel_thread_ids_stay_in_range() {
-        for threads in [1, 3, 8] {
-            let out = indexed_parallel(64, threads, |t, _| t);
-            assert!(out.iter().all(|&t| t < threads.max(1)));
-        }
+        assert!(indexed_parallel(0, 4, |i| i).is_empty());
     }
 
     #[test]

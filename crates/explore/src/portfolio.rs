@@ -155,7 +155,7 @@ impl PortfolioConfig {
 /// Result of one portfolio exploration.
 #[derive(Debug, Clone)]
 pub struct Exploration {
-    /// The single-objective incumbent, rebuilt as a full [`Synthesized`]
+    /// The single-objective incumbent as a full [`Synthesized`]
     /// configuration (mapping, policies, replica placement, estimate).
     pub best: Synthesized,
     /// The Pareto front over (worst-case, recovery slack, table cost).
@@ -331,7 +331,7 @@ pub fn explore(
 
     for _ in 0..config.rounds {
         // Workers advance in parallel; each returns its round archive.
-        let round_archives = indexed_parallel(worker_count, worker_threads, |_, i| {
+        let round_archives = indexed_parallel(worker_count, worker_threads, |i| {
             workers[i].lock().expect("worker state poisoned").run_round(
                 config.iterations_per_round,
                 &cache,
