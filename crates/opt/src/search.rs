@@ -35,12 +35,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 
-/// Tunables of the tabu search.
+/// Tunables of a search (any [`EngineKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchConfig {
     /// Total iterations.
     pub iterations: usize,
-    /// Tabu tenure (iterations a touched process stays tabu).
+    /// Tabu tenure (iterations a touched process stays tabu; tabu only).
     pub tenure: usize,
     /// Number of candidate moves sampled per iteration.
     pub neighborhood: usize,
